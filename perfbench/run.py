@@ -29,7 +29,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, '.bench_build', 'perfbench')
-WORKLOADS = ('serve_small_hot', 'serve_large_distinct', 'train_hap')
+WORKLOADS = ('serve_small_hot', 'train_hap')
 BUILD_TIMEOUT_S = 850
 RUN_TIMEOUT_S = 170
 

@@ -1,6 +1,7 @@
 #include "loadgen.h"
 
 #include <poll.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
@@ -23,6 +24,13 @@ namespace {
 
 using hap::serve::FrameType;
 using hap::serve::WireHeader;
+
+uint64_t CpuNs(clockid_t clock) {
+  timespec ts;
+  ::clock_gettime(clock, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
 
 void SleepUntilNs(uint64_t deadline_ns) {
   timespec ts;
@@ -280,6 +288,8 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
     return result;
   }
 
+  const uint64_t process_cpu0 = CpuNs(CLOCK_PROCESS_CPUTIME_ID);
+  const uint64_t sender_cpu0 = CpuNs(CLOCK_THREAD_CPUTIME_ID);
   Receiver receiver;
   receiver.result = &result;
   receiver.fds = fds_;
@@ -291,13 +301,24 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   double offset_ns = 0.0;
   for (size_t i = 0; i < n; ++i) {
     result.latency_ns[i] = t0 + static_cast<uint64_t>(offset_ns);
-    const double gap = spec.poisson ? -std::log(1.0 - arrivals_.Uniform()) : 1.0;
-    offset_ns += gap * 1e9 / spec.rate;
+    offset_ns += -std::log(1.0 - arrivals_.Uniform()) * 1e9 / spec.rate;
   }
   const uint64_t last_due = n == 0 ? t0 : result.latency_ns[n - 1];
   receiver.drain_deadline_ns.store(
       last_due + static_cast<uint64_t>(spec.drain_s * 1e9));
   std::thread receive_thread([&receiver] { receiver.Run(); });
+  clockid_t receiver_clock = CLOCK_THREAD_CPUTIME_ID;
+  if (::pthread_getcpuclockid(receive_thread.native_handle(), &receiver_clock) != 0) {
+    result.error = "cannot read the receiver thread's CPU clock";
+  }
+  // CPU time of the rest of the process since the run started: the
+  // process's minus the sender's (this thread) and the receiver's.
+  auto other_cpu_ns = [&] {
+    const uint64_t generator = CpuNs(CLOCK_THREAD_CPUTIME_ID) - sender_cpu0 +
+                               CpuNs(receiver_clock);
+    const uint64_t process = CpuNs(CLOCK_PROCESS_CPUTIME_ID) - process_cpu0;
+    return process > generator ? process - generator : 0;
+  };
 
   // Wake-ups on time: the default 50 us timer slack would show up as
   // lateness on every request.
@@ -308,6 +329,9 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   for (size_t i = 0; i < n && socket_ok; ++i) {
     const uint64_t due = result.latency_ns[i];
     socket_ok = outbox.WaitUntil(due);
+    if (spec.cpu_every > 0 && i % spec.cpu_every == 0) {
+      result.other_cpu_ns.push_back(other_cpu_ns());
+    }
     const uint64_t start = NowNs();
     result.lateness_ns[i] = start > due ? start - due : 0;
     WireHeader header;
@@ -326,6 +350,7 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
     result.bytes_sent += sizeof(header_bytes) + payloads[i]->size();
     ++result.sent;
   }
+  if (spec.cpu_every > 0) result.other_cpu_ns.push_back(other_cpu_ns());
   while (socket_ok && !outbox.Empty() &&
          NowNs() < receiver.drain_deadline_ns.load()) {
     socket_ok = outbox.WaitUntil(std::min(NowNs() + 10'000'000,

@@ -1,13 +1,13 @@
 // Open-loop load generator over the binary wire protocol
 // (serve/protocol.h). One process, two threads: the calling thread sends
-// on a fixed schedule — evenly spaced, or seeded Poisson arrivals
-// (independent users: exponential gaps at the offered rate) — round-robin
-// over the connections, and one epoll thread receives and matches
-// responses by ticket. Every latency is measured from the request's *scheduled* send
-// time, so a stall in the server or the generator is charged to every
-// request it delays; how late the sender itself ran is reported
-// separately so a run whose generator fell behind can be refused instead
-// of being reported as a slow server.
+// on a fixed schedule of seeded Poisson arrivals (independent users:
+// exponential gaps at the offered rate) round-robin over the connections,
+// and one epoll thread receives and matches responses by ticket. Every
+// latency is measured from the request's *scheduled* send time, so a
+// stall in the server or the generator is charged to every request it
+// delays; how late the sender itself ran is reported separately so a run
+// whose generator fell behind can be refused instead of being reported as
+// a slow server.
 #ifndef PERFBENCH_LOADGEN_H_
 #define PERFBENCH_LOADGEN_H_
 
@@ -22,11 +22,12 @@ namespace perfbench {
 enum class Outcome : uint8_t { kUnanswered, kOk, kShed, kError };
 
 struct LoadSpec {
-  double rate = 1000.0;  // requests per second
-  bool poisson = false;  // exponential gaps instead of even spacing
+  double rate = 1000.0;  // mean requests per second
   /// How long after the last scheduled send to wait for stragglers
   /// before counting them as unanswered.
   double drain_s = 2.0;
+  /// Sample LoadResult::other_cpu_ns every this many sends (0: never).
+  size_t cpu_every = 0;
 };
 
 struct LoadResult {
@@ -39,6 +40,12 @@ struct LoadResult {
   size_t sent = 0, ok = 0, shed = 0, errors = 0, unanswered = 0;
   uint64_t bytes_sent = 0;
   size_t protocol_errors = 0;  // undecodable response frames
+  /// CPU time the rest of the process had used since the run started,
+  /// sampled just before each LoadSpec::cpu_every-th send and once after
+  /// the last send: the process's
+  /// CPU time minus the generator's two threads. With the server in the
+  /// same process and nothing else running, the server's CPU time.
+  std::vector<uint64_t> other_cpu_ns;
   std::string error;  // non-empty: the run could not be carried out
 
   /// Latency quantile in ms over OK responses only.

@@ -2,7 +2,7 @@
 // line (README.md). Usually started through perfbench/run.py, which
 // builds it first and checks the metric names against BENCHMARK.json.
 //
-//   perfbench --workload serve_small_hot|serve_large_distinct|train_hap
+//   perfbench --workload serve_small_hot|train_hap
 //             --seed N --seconds S --trace 0|1 --workdir DIR
 //
 // Exit codes: 0 result printed, outputs correct; 1 result printed, an
@@ -23,8 +23,8 @@ using perfbench::RunOptions;
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload serve_small_hot|serve_large_distinct|"
-               "train_hap --seed N --seconds S --trace 0|1 --workdir DIR\n");
+               "usage: perfbench --workload serve_small_hot|train_hap --seed N "
+               "--seconds S --trace 0|1 --workdir DIR\n");
 }
 
 bool ParseArgs(int argc, char** argv, RunOptions* options) {
@@ -49,9 +49,7 @@ bool ParseArgs(int argc, char** argv, RunOptions* options) {
     if (end != nullptr && *end != '\0') return false;
   }
   return argc % 2 == 1 && options->seconds > 0.0 && !options->workdir.empty() &&
-         (options->workload == "serve_small_hot" ||
-          options->workload == "serve_large_distinct" ||
-          options->workload == "train_hap");
+         (options->workload == "serve_small_hot" || options->workload == "train_hap");
 }
 
 }  // namespace

@@ -62,6 +62,14 @@ class ObsWindow {
   uint64_t start_ns_ = 0, end_ns_ = 0;
 };
 
+/// Timings are reported at this quantile over a run's samples (serving
+/// sub-windows, training repeats, set-ups) and rates at 1 minus it: noise
+/// from the host (descheduled vCPUs, slow phases) only ever slows a
+/// sample down, so the least disturbed samples are the program's, and a
+/// tenth rather than the minimum keeps one lucky sample from setting the
+/// result.
+constexpr double kLeastDisturbed = 0.1;
+
 /// a / b, or 0 when b is 0.
 double Ratio(double a, double b);
 

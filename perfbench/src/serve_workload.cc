@@ -1,9 +1,11 @@
-// serve_small_hot and serve_large_distinct: the server is stood up in
-// this process exactly as hap_served stands it up with its defaults, and
-// the open-loop generator (loadgen.h) drives it over loopback TCP.
+// serve_small_hot: the server is stood up in this process exactly as
+// hap_served stands it up with its defaults, and the open-loop generator
+// (loadgen.h) drives it over loopback TCP.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,10 +40,9 @@ constexpr int kConnections = 4;
 constexpr int kPoolThreads = 2;
 constexpr int kCheckThreads = 4;  // output checks, between windows
 constexpr int kHidden = 32;
-constexpr int kSetupRepeats = 9;
+constexpr int kSetupRepeats = 31;
 /// Load at the nominal rate on the measuring connections before any
-/// window is measured: caches and arenas fill, and the connections reach
-/// the TCP state they keep for the rest of their life.
+/// window is measured: caches and arenas fill.
 constexpr double kWarmupSeconds = 3.0;
 /// A window measured the generator, not the server, when more than a
 /// tenth of its requests went out later than this, or later than a
@@ -49,45 +50,27 @@ constexpr double kWarmupSeconds = 3.0;
 /// host descheduling a vCPU) are charged to the requests they delay, as
 /// latency from the scheduled send time always is.
 constexpr double kMaxLatenessP90Ms = 2.0;
-/// A nominal window or ladder rung is repeated (kNominalAttempts in all)
-/// while its sender's lateness p90 exceeds this or 5% of its median.
-constexpr double kOnTimeP90Ms = 0.2;
-constexpr int kNominalAttempts = 3;
 
-/// Fixed per-workload load shape (README.md "Workloads").
-struct LoadShape {
-  double nominal_qps;
-  std::vector<double> ladder_qps;  // ascending, all above nominal
-  double rung_seconds;             // length of each ladder rung
-  int ladder_passes;               // best of this many passes
-  double limit_ms;                 // tail-latency limit for the ladder
-  bool poisson;                    // arrival process (LoadSpec::poisson)
-};
+/// Nominal load. The untraced run measures it in one window: a settling
+/// period, then --seconds cut into sub-windows of kSubWindow answers (at
+/// most kMaxSubWindows of them).
+constexpr double kNominalQps = 1000.0;
+constexpr double kSettleSeconds = 3.0;
+constexpr size_t kSubWindow = 1000;
+constexpr size_t kMaxSubWindows = 20;
+/// Graphs replayed through the parse, cache and model layers.
+constexpr size_t kReplayGraphs = 64;
+/// Untraced/traced window pairs behind trace.overhead_frac.
+constexpr int kOverheadPairs = 3;
 
-// One request stream: graph text per request plus how to rebuild the
-// graph for the output check.
+/// The request stream: MUTAG-like graphs drawn Zipf-skewed from a fixed
+/// pool, as graph text per request plus the graph for the output check.
 class Corpus {
- public:
-  virtual ~Corpus() = default;
-  virtual const FeatureSpec& spec() const = 0;
-  virtual int num_classes() const = 0;
-  /// Appends `count` new requests; returns their indices.
-  virtual std::vector<size_t> Draw(size_t count) = 0;
-  virtual const std::string& Payload(size_t request) const = 0;
-  /// Key of the graph behind a request: equal keys, equal graphs.
-  virtual size_t GraphKey(size_t request) const = 0;
-  virtual Graph BuildGraph(size_t request) const = 0;
-  /// Drops payload text that is no longer needed (large graphs).
-  virtual void Release(const std::vector<size_t>& requests) { (void)requests; }
-};
-
-/// MUTAG-like graphs drawn Zipf-skewed from a fixed pool.
-class HotCorpus : public Corpus {
  public:
   static constexpr int kPool = 300;
   static constexpr double kZipfS = 1.1;
 
-  explicit HotCorpus(uint64_t seed) : rng_(seed) {
+  explicit Corpus(uint64_t seed) : rng_(seed) {
     dataset_ = MakeMutagLike(kPool, &rng_);
     for (const Graph& g : dataset_.graphs) {
       std::ostringstream text;
@@ -102,9 +85,10 @@ class HotCorpus : public Corpus {
     }
     for (double& c : cdf_) c /= total;
   }
-  const FeatureSpec& spec() const override { return dataset_.feature_spec; }
-  int num_classes() const override { return dataset_.num_classes; }
-  std::vector<size_t> Draw(size_t count) override {
+  const FeatureSpec& spec() const { return dataset_.feature_spec; }
+  int num_classes() const { return dataset_.num_classes; }
+  /// Appends `count` new requests; returns their indices.
+  std::vector<size_t> Draw(size_t count) {
     std::vector<size_t> out;
     for (size_t i = 0; i < count; ++i) {
       const double u = rng_.Uniform();
@@ -115,13 +99,10 @@ class HotCorpus : public Corpus {
     }
     return out;
   }
-  const std::string& Payload(size_t r) const override {
-    return texts_[requests_[r]];
-  }
-  size_t GraphKey(size_t r) const override { return requests_[r]; }
-  Graph BuildGraph(size_t r) const override {
-    return dataset_.graphs[requests_[r]];
-  }
+  const std::string& Payload(size_t r) const { return texts_[requests_[r]]; }
+  /// Key of the graph behind a request: equal keys, equal graphs.
+  size_t GraphKey(size_t r) const { return static_cast<size_t>(requests_[r]); }
+  const Graph& BuildGraph(size_t r) const { return dataset_.graphs[requests_[r]]; }
 
  private:
   Rng rng_;
@@ -130,81 +111,6 @@ class HotCorpus : public Corpus {
   std::vector<int> rank_to_graph_;
   std::vector<double> cdf_;
   std::vector<int> requests_;  // request -> pool index
-};
-
-/// 200-800-node sparse graphs (ER, BA, planted partition); every request
-/// is a fresh random relabelling of one of a few base graphs, so no two
-/// requests share a cache key while the work per request keeps the base
-/// graphs' size and sparsity.
-class DistinctCorpus : public Corpus {
- public:
-  static constexpr int kBases = 24;
-
-  explicit DistinctCorpus(uint64_t seed) : rng_(seed) {
-    spec_ = {FeatureKind::kDegreeOneHot, 16, 0};
-    // Sizes are spread evenly over [200, 800] and do not depend on the
-    // seed, so every seed serves the same size mix (PrepareGraph and the
-    // dense forward cost O(N^2)); requests cycle through the bases in
-    // seeded shuffled rounds.
-    for (int b = 0; b < kBases; ++b) {
-      const int n = 200 + (600 * (2 * b + 1)) / (2 * kBases);
-      const double nd = static_cast<double>(n);
-      switch (b % 3) {
-        case 0: bases_.push_back(ErdosRenyi(n, 6.0 / nd, &rng_)); break;
-        case 1: bases_.push_back(BarabasiAlbert(n, 3, &rng_)); break;
-        default: {
-          const std::vector<int> sizes = {n / 4, n / 4, n / 4, n - 3 * (n / 4)};
-          bases_.push_back(PlantedPartition(sizes, 20.0 / nd, 1.5 / nd, &rng_));
-        }
-      }
-    }
-  }
-  const FeatureSpec& spec() const override { return spec_; }
-  int num_classes() const override { return 2; }
-  std::vector<size_t> Draw(size_t count) override {
-    std::vector<size_t> out;
-    for (size_t i = 0; i < count; ++i) {
-      if (round_.empty()) {
-        round_ = RandomPermutation(kBases, &rng_);
-      }
-      Request req;
-      req.base = round_.back();
-      round_.pop_back();
-      req.perm_seed = rng_.NextU64();
-      std::ostringstream text;
-      WriteGraph(BuildFrom(req), &text);
-      req.text = text.str();
-      out.push_back(requests_.size());
-      requests_.push_back(std::move(req));
-    }
-    return out;
-  }
-  const std::string& Payload(size_t r) const override {
-    return requests_[r].text;
-  }
-  size_t GraphKey(size_t r) const override { return r; }
-  Graph BuildGraph(size_t r) const override { return BuildFrom(requests_[r]); }
-  void Release(const std::vector<size_t>& requests) override {
-    for (size_t r : requests) std::string().swap(requests_[r].text);
-  }
-
- private:
-  struct Request {
-    int base = 0;
-    uint64_t perm_seed = 0;
-    std::string text;
-  };
-  Graph BuildFrom(const Request& req) const {
-    const Graph& base = bases_[req.base];
-    Rng perm_rng(req.perm_seed);
-    return base.Permuted(RandomPermutation(base.num_nodes(), &perm_rng));
-  }
-
-  Rng rng_;
-  FeatureSpec spec_;
-  std::vector<Graph> bases_;
-  std::vector<int> round_;  // bases still to serve in this round
-  std::vector<Request> requests_;
 };
 
 /// ModelRegistry + InferenceEngine + Server with hap_served's defaults.
@@ -260,8 +166,8 @@ struct Window {
   LoadResult result;
 };
 
-Window RunWindow(Corpus* corpus, WireClient* client, const LoadShape& shape,
-                 double rate, double seconds) {
+Window RunWindow(Corpus* corpus, WireClient* client, double rate,
+                 double seconds) {
   Window w;
   w.requests = corpus->Draw(static_cast<size_t>(std::max(1.0, rate * seconds)));
   std::vector<const std::string*> payloads;
@@ -269,18 +175,10 @@ Window RunWindow(Corpus* corpus, WireClient* client, const LoadShape& shape,
   for (size_t r : w.requests) payloads.push_back(&corpus->Payload(r));
   LoadSpec spec;
   spec.rate = rate;
-  spec.poisson = shape.poisson;
   spec.drain_s = 10.0;
+  spec.cpu_every = kSubWindow;
   w.result = client->Run(payloads, spec);
-  corpus->Release(w.requests);
   return w;
-}
-
-/// Stricter than GeneratorKeptUp: the sender's lateness is negligible
-/// against what the window measures, so the host was not slowing it.
-bool GeneratorOnTime(const LoadResult& r) {
-  return r.LatenessQuantileMs(0.9) <=
-         std::max(kOnTimeP90Ms, 0.05 * r.OkLatencyQuantileMs(0.5));
 }
 
 bool GeneratorKeptUp(const LoadResult& r) {
@@ -346,51 +244,20 @@ void CheckAccounting(const LoadResult& r, double server_frames,
   if (!r.error.empty()) report->Mismatch(r.error);
 }
 
-/// Latencies in ms, in send order: OK answers only, or (`slo`) every
-/// request sent, counting shed, failed and unanswered ones as missing any
-/// limit.
-std::vector<double> LatenciesMs(const LoadResult& r, bool slo) {
-  std::vector<double> ms;
-  for (size_t i = 0; i < r.sent; ++i) {
-    if (r.outcome[i] == Outcome::kOk) {
-      ms.push_back(static_cast<double>(r.latency_ns[i]) / 1e6);
-    } else if (slo) {
-      ms.push_back(1e9);
-    }
-  }
-  return ms;
-}
-
-LoadShape ShapeFor(const std::string& workload) {
-  if (workload == "serve_small_hot") {
-    return {1000.0,
-            {10000, 12000, 13000, 14000, 15000, 16000, 17000, 18000, 19000,
-             20000, 21000, 22000, 23000, 24000, 26000, 28000, 32000},
-            1.0, 3, 30.0, true};
-  }
-  return {20.0, {30, 34, 38, 42, 46, 50, 54, 58, 62, 68, 76}, 2.0, 2, 250.0, false};
-}
-
 }  // namespace
 
 Report RunServeWorkload(const RunOptions& options) {
   Report report;
   obs::SetMetricsEnabled(true);  // hap_served's default
   SetNumThreads(kPoolThreads);
-  const LoadShape shape = ShapeFor(options.workload);
+  Corpus corpus(options.seed);
 
-  std::unique_ptr<Corpus> corpus;
-  if (options.workload == "serve_small_hot") {
-    corpus = std::make_unique<HotCorpus>(options.seed);
-  } else {
-    corpus = std::make_unique<DistinctCorpus>(options.seed);
-  }
   // Weights are fixed (not drawn from the workload seed): the seed picks
   // inputs, never the program.
   const std::string checkpoint = options.workdir + "/model.ckpt";
   {
     Rng init(5);
-    const serve::ServedModelConfig config = ModelConfig(*corpus);
+    const serve::ServedModelConfig config = ModelConfig(corpus);
     GraphClassifier writer(
         MakeEmbedderByName(config.method, config.feature_dim, config.hidden, &init),
         config.num_classes, config.hidden, &init);
@@ -411,7 +278,7 @@ Report RunServeWorkload(const RunOptions& options) {
   for (int i = 0; i < kSetupRepeats; ++i) {
     stack.reset();
     const uint64_t t0 = NowNs();
-    stack = StartStack(*corpus, checkpoint, i + 1 == kSetupRepeats ? access_log : "");
+    stack = StartStack(corpus, checkpoint, i + 1 == kSetupRepeats ? access_log : "");
     setup_s.push_back(static_cast<double>(NowNs() - t0) / 1e9);
     if (!stack) {
       report.valid = false;
@@ -420,7 +287,7 @@ Report RunServeWorkload(const RunOptions& options) {
   }
   // Output checks run on a separate instance of the same checkpoint, so
   // they never share a lane with the engine.
-  serve::ServedModelConfig reference_config = ModelConfig(*corpus);
+  serve::ServedModelConfig reference_config = ModelConfig(corpus);
   reference_config.lanes = kCheckThreads;
   auto reference_model = serve::ServedModel::Load(reference_config, checkpoint);
   if (!reference_model.ok()) {
@@ -431,11 +298,19 @@ Report RunServeWorkload(const RunOptions& options) {
   const serve::ServedModel& model = *reference_model.value();
   std::map<size_t, int> reference;
 
-  auto account = [&report](const Window& w) {
+  // Runs one window at `rate` on `client` with obs deltas in `obs`, checks
+  // its outputs and its accounting, and counts its requests.
+  auto measure = [&](WireClient* client, double rate, double seconds, ObsWindow* obs) {
+    *obs = ObsWindow();
+    Window w = RunWindow(&corpus, client, rate, seconds);
+    obs->Close();
+    CheckAccounting(w.result, obs->Counter(names::kServeNetRequestsBinary), &report);
+    CheckPredictions(corpus, model, w, &reference, &report);
     report.attempted += w.result.sent;
     report.failed += w.result.shed + w.result.errors + w.result.unanswered;
+    return w;
   };
-  // Opens the measuring connections to `target` and warms them up (see
+  // Opens kConnections connections to `target` and warms them up (see
   // kWarmupSeconds); nullptr when the connections cannot be opened.
   uint64_t clients = 0;
   auto connect = [&](Stack* target) -> std::unique_ptr<WireClient> {
@@ -446,11 +321,7 @@ Report RunServeWorkload(const RunOptions& options) {
       return nullptr;
     }
     ObsWindow obs;
-    Window warm = RunWindow(corpus.get(), client.get(), shape, shape.nominal_qps, kWarmupSeconds);
-    obs.Close();
-    CheckAccounting(warm.result, obs.Counter(names::kServeNetRequestsBinary), &report);
-    CheckPredictions(*corpus, model, warm, &reference, &report);
-    account(warm);
+    measure(client.get(), kNominalQps, kWarmupSeconds, &obs);
     return client;
   };
   std::unique_ptr<WireClient> client = connect(stack.get());
@@ -459,136 +330,58 @@ Report RunServeWorkload(const RunOptions& options) {
     return report;
   }
 
-  // The nominal window is the run's measured time; the traced run splits
-  // it between the untraced and the traced stack.
-  const double nominal_s = options.trace ? 0.5 * options.seconds : options.seconds;
   if (!options.trace) {
-    // The nominal window is measured again, up to kNominalAttempts times,
-    // while the generator itself ran late (the host was slow); the attempt
-    // whose sender kept its schedule best is reported.
-    Window nominal;
-    for (int attempt = 0; attempt < kNominalAttempts; ++attempt) {
-      ObsWindow obs;
-      Window w = RunWindow(corpus.get(), client.get(), shape, shape.nominal_qps, nominal_s);
-      obs.Close();
-      CheckAccounting(w.result, obs.Counter(names::kServeNetRequestsBinary), &report);
-      CheckPredictions(*corpus, model, w, &reference, &report);
-      account(w);
-      const double lateness = w.result.LatenessQuantileMs(0.9);
-      std::fprintf(stderr, "perfbench: nominal attempt %d: lateness p90 %.3f ms, p50 %.3f ms\n",
-                   attempt, lateness, w.result.OkLatencyQuantileMs(0.5));
-      if (attempt == 0 || lateness < nominal.result.LatenessQuantileMs(0.9)) {
-        nominal = std::move(w);
-      }
-      if (GeneratorOnTime(nominal.result)) break;
-    }
-    const LoadResult& r = nominal.result;
-    const double tail_q = TailQuantile(r.ok);
-    std::fprintf(stderr,
-                 "perfbench: nominal %.0f qps: %zu sent, %zu ok, tail = p%.2f "
-                 "of %zu, lateness p90 %.3f p99 %.3f ms\n",
-                 shape.nominal_qps, r.sent, r.ok, 100.0 * tail_q, r.ok,
-                 r.LatenessQuantileMs(0.9), r.LatenessQuantileMs(0.99));
+    // One continuous window at the nominal rate. Its first kSettleSeconds
+    // are not counted: responses on a connection that has been idle go
+    // out at once, and under steady load the connections settle into the
+    // state they keep (README.md "Baseline finding"). The rest is cut
+    // into consecutive sub-windows of kSubWindow answers, each a sample
+    // for kLeastDisturbed.
+    ObsWindow obs;
+    const LoadResult r =
+        measure(client.get(), kNominalQps, kSettleSeconds + options.seconds, &obs).result;
     if (!GeneratorKeptUp(r)) {
-      std::fprintf(stderr, "perfbench: generator fell behind its schedule; "
-                           "run invalid\n");
+      std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
       report.valid = false;
       return report;
     }
-    const SubWindowSummary nominal_latency = SubWindowQuantiles(LatenciesMs(r, false));
-    std::fprintf(stderr, "perfbench: nominal p50 %.3f ms, tail %.3f ms (median of %zu sub-windows)\n",
-                 nominal_latency.p50, nominal_latency.tail, nominal_latency.windows);
-    report.Set("latency_p50_ms", nominal_latency.p50, "ms");
-    report.Set("latency_p99_ms", nominal_latency.tail, "ms");
-
-    // Ladder passes: each climbs until the first rung that misses the
-    // limit. Later passes start one rung below the highest failure so far.
-    // The reported rate is the best pass: noise from the host (descheduled
-    // vCPUs, slow phases) only ever slows a pass down.
-    const Rung nominal_rung{shape.nominal_qps,
-                            SubWindowQuantiles(LatenciesMs(r, true)).tail,
-                            r.shed + r.errors + r.unanswered == 0};
-    size_t restart = 0;  // where later passes start
-    std::vector<double> pass_rates;
-    for (int pass = 0; pass < shape.ladder_passes; ++pass) {
-      std::vector<Rung> rungs = {nominal_rung};
-      for (size_t i = pass == 0 ? 0 : restart; i < shape.ladder_qps.size(); ++i) {
-        const double rate = shape.ladder_qps[i];
-        // Like the nominal window, a rung is measured again while its sender
-        // ran late, and the most punctual attempt counts.
-        Window w;
-        for (int attempt = 0; attempt < kNominalAttempts; ++attempt) {
-          ObsWindow rung_obs;
-          Window a = RunWindow(corpus.get(), client.get(), shape, rate, shape.rung_seconds);
-          rung_obs.Close();
-          CheckAccounting(a.result, rung_obs.Counter(names::kServeNetRequestsBinary), &report);
-          CheckPredictions(*corpus, model, a, &reference, &report);
-          report.attempted += a.result.sent;
-          if (attempt == 0 ||
-              a.result.LatenessQuantileMs(0.9) < w.result.LatenessQuantileMs(0.9)) {
-            w = std::move(a);
-          }
-          if (GeneratorOnTime(w.result)) break;
-        }
-        const LoadResult& lr = w.result;
-        // A backlog that keeps growing shows as tails rising from one
-        // sub-window to the next, which the median over them catches.
-        const SubWindowSummary tail = SubWindowQuantiles(LatenciesMs(lr, true));
-        Rung rung;
-        rung.rate = rate;
-        rung.p99_ms = tail.tail;
-        rung.clean = lr.shed + lr.errors + lr.unanswered == 0;
-        const bool pass_rung = rung.clean && rung.p99_ms <= shape.limit_ms;
-        // A late generator offered less than `rate`: a failure still
-        // stands, a pass proves nothing and ends the pass.
-        const bool kept_up = GeneratorKeptUp(lr);
-        std::fprintf(stderr,
-                     "perfbench: pass %d rung %.0f qps: tail %.3f ms (%zu windows), "
-                     "shed %zu, err %zu, unanswered %zu, lateness p90 %.3f ms%s\n",
-                     pass, rate, rung.p99_ms, tail.windows, lr.shed, lr.errors,
-                     lr.unanswered,
-                     lr.LatenessQuantileMs(0.9),
-                     kept_up || !pass_rung ? "" : " (generator behind: pass ends)");
-        if (pass_rung && !kept_up) break;
-        rungs.push_back(rung);
-        if (!pass_rung) {
-          restart = std::max(restart, i > 0 ? i - 1 : 0);
-          break;
-        }
+    const size_t settle = static_cast<size_t>(kNominalQps * kSettleSeconds);
+    std::vector<double> ok_ms;
+    for (size_t i = settle; i < r.sent; ++i) {
+      if (r.outcome[i] == Outcome::kOk) {
+        ok_ms.push_back(static_cast<double>(r.latency_ns[i]) / 1e6);
       }
-      pass_rates.push_back(MaxRateUnderLimit(rungs, shape.limit_ms));
     }
-    report.Set("throughput_per_s", *std::max_element(pass_rates.begin(), pass_rates.end()),
-               "1/s");
-    report.Set("setup_s", Median(setup_s), "s");
+    const SubWindowSummary latency = SubWindowQuantiles(ok_ms, kSubWindow, kMaxSubWindows, kLeastDisturbed);
+    // Capacity per sub-window of kSubWindow sends: sends over the server
+    // CPU time between the samples at its ends.
+    std::vector<double> capacities;
+    for (size_t k = settle / kSubWindow; k + 1 < r.other_cpu_ns.size(); ++k) {
+      const double cpu_s = static_cast<double>(r.other_cpu_ns[k + 1] - r.other_cpu_ns[k]) / 1e9;
+      capacities.push_back(Ratio(static_cast<double>(kSubWindow), cpu_s));
+    }
+    const double capacity = Quantile(capacities, 1.0 - kLeastDisturbed);
+    std::fprintf(stderr,
+                 "perfbench: nominal %.0f req/s: %zu sent, %zu ok, lateness p90 %.3f ms; "
+                 "%zu sub-windows: p50 %.3f ms, tail %.3f ms; %.0f answers "
+                 "per server CPU-second\n",
+                 kNominalQps, r.sent, r.ok, r.LatenessQuantileMs(0.9), latency.windows,
+                 latency.p50, latency.tail, capacity);
+    report.Set("latency_p50_ms", latency.p50, "ms");
+    report.Set("latency_p99_ms", latency.tail, "ms");
+    report.Set("throughput_per_s", capacity, "1/s");
+    report.Set("setup_s", Quantile(setup_s, kLeastDisturbed), "s");
     report.Set("peak_rss_mb", PeakRssMb(), "MB");
     return report;
   }
 
-  // --- Traced run: the same nominal load on a stack without and with the
-  // access log (the difference is the tracing overhead), obs deltas over
-  // the traced window, then replays of the window's own inputs through
-  // the parse, cache and model layers under spans.
-  double untraced_p50 = 0.0;
-  {
-    std::unique_ptr<Stack> plain = StartStack(*corpus, checkpoint, "");
-    std::unique_ptr<WireClient> plain_client = plain ? connect(plain.get()) : nullptr;
-    if (!plain_client) {
-      report.valid = false;
-      return report;
-    }
-    Window w = RunWindow(corpus.get(), plain_client.get(), shape, shape.nominal_qps, nominal_s);
-    account(w);
-    CheckPredictions(*corpus, model, w, &reference, &report);
-    untraced_p50 = w.result.OkLatencyQuantileMs(0.5);
-  }
+  // --- Traced run: the nominal load on the stack with the access log
+  // open, obs deltas over that window, the tracing overhead against a
+  // stack without the log, then replays of the window's own inputs
+  // through the parse, cache and model layers under spans.
   ObsWindow obs;
-  Window w = RunWindow(corpus.get(), client.get(), shape, shape.nominal_qps, nominal_s);
-  obs.Close();
+  const Window w = measure(client.get(), kNominalQps, 0.5 * options.seconds, &obs);
   const LoadResult& r = w.result;
-  CheckAccounting(r, obs.Counter(names::kServeNetRequestsBinary), &report);
-  CheckPredictions(*corpus, model, w, &reference, &report);
-  account(w);
   if (!GeneratorKeptUp(r)) {
     std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
     report.valid = false;
@@ -604,7 +397,6 @@ Report RunServeWorkload(const RunOptions& options) {
   client_mean = Ratio(client_mean, static_cast<double>(r.ok)) / 1e6;
 
   report.Set("gen.lateness_p99_ms", r.LatenessQuantileMs(0.99), "ms");
-  report.Set("trace.overhead_frac", Ratio(client_p50, untraced_p50) - 1.0, "ratio");
   report.Set("wire.gap_p50_ms", client_p50 - obs.SketchQuantileMs(names::kServeLatencyNs, 0.5), "ms");
   report.Set("wire.gap_p99_ms", client_tail - obs.SketchQuantileMs(names::kServeLatencyNs, q), "ms");
   report.Set("wire.gap_mean_ms", client_mean - obs.SketchMeanMs(names::kServeLatencyNs), "ms");
@@ -633,14 +425,41 @@ Report RunServeWorkload(const RunOptions& options) {
              obs.Counter(names::kServeDeadlineMiss) + obs.Counter(names::kServeDeadlineSkipped), "count");
   AddKernelAndPoolMetrics(obs, kPoolThreads, &report);
 
+  // Tracing overhead: short windows alternate between a stack without the
+  // access log and the traced one; each pair compares the server's own
+  // serve.latency.ns p50, which the wire gap does not touch, and the
+  // median of the pairs' ratios is reported.
+  {
+    std::unique_ptr<Stack> plain = StartStack(corpus, checkpoint, "");
+    std::unique_ptr<WireClient> plain_client = plain ? connect(plain.get()) : nullptr;
+    if (!plain_client) {
+      report.valid = false;
+      return report;
+    }
+    const double pair_s = 0.5 * options.seconds / (2 * kOverheadPairs);
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+      ObsWindow plain_obs, traced_obs;
+      const Window a = measure(plain_client.get(), kNominalQps, pair_s, &plain_obs);
+      const Window b = measure(client.get(), kNominalQps, pair_s, &traced_obs);
+      if (!GeneratorKeptUp(a.result) || !GeneratorKeptUp(b.result)) {
+        std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
+        report.valid = false;
+        return report;
+      }
+      ratios.push_back(Ratio(traced_obs.SketchQuantileMs(names::kServeLatencyNs, 0.5),
+                             plain_obs.SketchQuantileMs(names::kServeLatencyNs, 0.5)) - 1.0);
+    }
+    report.Set("trace.overhead_frac", Median(ratios), "ratio");
+  }
+
   // Replays over the window's first distinct graphs, in request order.
-  const size_t sample = options.workload == "serve_small_hot" ? 64 : 16;
   std::map<size_t, size_t> slot_of;  // graph key -> index into `graphs`
   std::vector<Graph> graphs;
   for (size_t req : w.requests) {
-    if (graphs.size() >= sample) break;
-    if (slot_of.emplace(corpus->GraphKey(req), graphs.size()).second) {
-      graphs.push_back(corpus->BuildGraph(req));
+    if (graphs.size() >= kReplayGraphs) break;
+    if (slot_of.emplace(corpus.GraphKey(req), graphs.size()).second) {
+      graphs.push_back(corpus.BuildGraph(req));
     }
   }
   SpanLog spans;
@@ -653,10 +472,10 @@ Report RunServeWorkload(const RunOptions& options) {
   }
   {
     // The window's request sequence restricted to the sampled graphs, so
-    // the hot workload keeps its hit pattern and the distinct one misses.
-    serve::GraphCache cache(256, corpus->spec());
+    // the hit pattern is the window's.
+    serve::GraphCache cache(256, corpus.spec());
     for (size_t req : w.requests) {
-      auto it = slot_of.find(corpus->GraphKey(req));
+      auto it = slot_of.find(corpus.GraphKey(req));
       if (it == slot_of.end()) continue;
       ScopedSpan span(&spans, "prepare");
       std::shared_ptr<const PreparedGraph> prepared = cache.Prepare(graphs[it->second]);
@@ -674,17 +493,17 @@ Report RunServeWorkload(const RunOptions& options) {
   report.Set("cache.prepare_us_mean", mean_us("prepare"), "us");
 
   // Model split on the served weights (the same checkpoint).
-  const int feature_dim = corpus->spec().FeatureDim();
+  const int feature_dim = corpus.spec().FeatureDim();
   Rng init(5);
   GraphClassifier classifier(MakeEmbedderByName("HAP", feature_dim, kHidden, &init),
-                             corpus->num_classes(), kHidden, &init);
+                             corpus.num_classes(), kHidden, &init);
   if (Status s = LoadModule(&classifier, checkpoint); !s.ok()) {
     report.Mismatch("checkpoint reload: " + s.ToString());
     return report;
   }
   classifier.set_training(false);
   std::vector<PreparedGraph> prepared;
-  for (const Graph& g : graphs) prepared.push_back(PrepareGraph(g, corpus->spec()));
+  for (const Graph& g : graphs) prepared.push_back(PrepareGraph(g, corpus.spec()));
   std::vector<const PreparedGraph*> ptrs;
   for (const PreparedGraph& g : prepared) ptrs.push_back(&g);
   AddModelMetrics(TraceModel(classifier, feature_dim, kHidden, ptrs, 3), &report);

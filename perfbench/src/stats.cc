@@ -24,7 +24,8 @@ double TailQuantile(size_t n, double cap, size_t min_beyond) {
 }
 
 SubWindowSummary SubWindowQuantiles(const std::vector<double>& values,
-                                    size_t per_window, size_t max_windows) {
+                                    size_t per_window, size_t max_windows,
+                                    double over) {
   SubWindowSummary out;
   out.windows = std::clamp<size_t>(values.size() / per_window, 1, max_windows);
   std::vector<double> p50, tail;
@@ -35,27 +36,9 @@ SubWindowSummary SubWindowQuantiles(const std::vector<double>& values,
     p50.push_back(Quantile(part, 0.5));
     tail.push_back(Quantile(part, TailQuantile(part.size())));
   }
-  out.p50 = Quantile(p50, 0.5);
-  out.tail = Quantile(tail, 0.5);
+  out.p50 = Quantile(p50, over);
+  out.tail = Quantile(tail, over);
   return out;
-}
-
-double MaxRateUnderLimit(const std::vector<Rung>& rungs, double limit_ms) {
-  const Rung* last_pass = nullptr;
-  for (const Rung& rung : rungs) {
-    const bool latency_ok = rung.p99_ms <= limit_ms;
-    if (latency_ok && rung.clean) {
-      last_pass = &rung;
-      continue;
-    }
-    if (last_pass == nullptr) return 0.0;
-    if (latency_ok) return last_pass->rate;  // failed on shed/backlog only
-    const double span = rung.p99_ms - last_pass->p99_ms;
-    const double frac = span > 0.0 ? (limit_ms - last_pass->p99_ms) / span
-                                   : 0.0;
-    return last_pass->rate + frac * (rung.rate - last_pass->rate);
-  }
-  return last_pass == nullptr ? 0.0 : last_pass->rate;
 }
 
 uint64_t CoveredNs(const Interval& parent, std::vector<Interval> children) {

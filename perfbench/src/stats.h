@@ -1,7 +1,7 @@
-// The benchmark's own arithmetic: tail-percentile choice, the SLO-rate
-// interpolation of the load ladder, self time from spans, and the
-// reconciliation residual. Kept free of the program's headers so
-// stats_test.cc exercises it in isolation.
+// The benchmark's own arithmetic: tail-percentile choice, sub-window
+// summaries, self time from spans, and the reconciliation residual. Kept
+// free of the program's headers so stats_test.cc exercises it in
+// isolation.
 #ifndef PERFBENCH_STATS_H_
 #define PERFBENCH_STATS_H_
 
@@ -20,10 +20,13 @@ double Quantile(std::vector<double> values, double q);
 /// median) when the sample cannot support any tail quantile above it.
 double TailQuantile(size_t n, double cap = 0.99, size_t min_beyond = 10);
 
-/// Median p50 and tail over consecutive sub-windows of `values` (in
-/// arrival order): as many sub-windows as hold `per_window` values each,
-/// at least 1 and at most `max_windows`; each sub-window's tail is its
-/// TailQuantile. A burst of noise spoils one sub-window, not the result.
+/// p50 and tail over consecutive sub-windows of `values` (in arrival
+/// order): as many sub-windows as hold `per_window` values each, at least
+/// 1 and at most `max_windows`; each sub-window's tail is its
+/// TailQuantile. Reported is quantile `over` of the sub-windows' p50s and
+/// of their tails: by default the median, which a burst of noise in a
+/// few sub-windows does not move; a lower quantile reports the less
+/// disturbed sub-windows.
 struct SubWindowSummary {
   double p50 = 0.0;
   double tail = 0.0;
@@ -31,25 +34,7 @@ struct SubWindowSummary {
 };
 SubWindowSummary SubWindowQuantiles(const std::vector<double>& values,
                                     size_t per_window = 1000,
-                                    size_t max_windows = 5);
-
-/// One rung of the load ladder. `p99_ms` is the rung's tail latency
-/// (unanswered, shed and failed requests count as above any limit);
-/// `clean` is false when anything was shed or failed.
-struct Rung {
-  double rate = 0.0;
-  double p99_ms = 0.0;
-  bool clean = true;
-};
-
-/// Highest offered rate meeting `limit_ms` on an ascending ladder. Rungs
-/// are scanned from the bottom; the first failing rung ends the scan.
-/// When the tail crossed the limit between the last passing rung and the
-/// failing one, the rate is interpolated linearly at the crossing; when
-/// the failing rung broke only a non-latency condition, the last passing
-/// rate is returned. No passing rung gives 0; no failing rung gives the
-/// top rate.
-double MaxRateUnderLimit(const std::vector<Rung>& rungs, double limit_ms);
+                                    size_t max_windows = 5, double over = 0.5);
 
 /// A closed interval on one clock, in nanoseconds.
 struct Interval {

@@ -58,32 +58,18 @@ TEST(SubWindowQuantilesTest, SmallSamplesUseOneWindow) {
   EXPECT_EQ(SubWindowQuantiles(std::vector<double>(20000, 1.0)).windows, 5u);
 }
 
-TEST(MaxRateUnderLimitTest, InterpolatesWhereTheTailCrossesTheLimit) {
-  // p99 goes 4 -> 14 ms between 100 and 200 qps; a 10 ms limit is crossed
-  // 60% of the way.
-  const std::vector<Rung> rungs = {{50, 2, true}, {100, 4, true}, {200, 14, true}};
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit(rungs, 10.0), 160.0);
-}
-
-TEST(MaxRateUnderLimitTest, StopsAtTheFirstFailingRung) {
-  // A later rung that happens to pass again does not count.
-  const std::vector<Rung> rungs = {{100, 4, true}, {200, 14, true}, {300, 5, true}};
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit(rungs, 10.0), 160.0);
-}
-
-TEST(MaxRateUnderLimitTest, SheddingWithoutATailBreachKeepsTheLastPassingRate) {
-  const std::vector<Rung> rungs = {{100, 4, true}, {200, 6, false}};
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit(rungs, 10.0), 100.0);
-}
-
-TEST(MaxRateUnderLimitTest, EdgeCases) {
-  // Every rung passes: the top of the ladder (a lower bound).
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit({{100, 1, true}, {200, 2, true}}, 10.0), 200.0);
-  // The first rung already fails.
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit({{100, 20, true}}, 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit({}, 10.0), 0.0);
-  // A limit met exactly still passes.
-  EXPECT_DOUBLE_EQ(MaxRateUnderLimit({{100, 10, true}}, 10.0), 100.0);
+TEST(SubWindowQuantilesTest, LowQuantileReportsTheLessDisturbedWindows) {
+  // Twenty windows of 1000; window w holds 1..1000 shifted by 100 * w, so
+  // the windows' p50s are 500.5 + 100 * w and their p99s 990.01 + 100 * w.
+  std::vector<double> v;
+  for (int w = 0; w < 20; ++w) {
+    for (int i = 1; i <= 1000; ++i) v.push_back(i + 100.0 * w);
+  }
+  const SubWindowSummary s = SubWindowQuantiles(v, 1000, 20, 0.1);
+  EXPECT_EQ(s.windows, 20u);
+  // Quantile 0.1 of twenty sorted values sits at rank 1.9.
+  EXPECT_NEAR(s.p50, 500.5 + 190.0, 1e-9);
+  EXPECT_NEAR(s.tail, 990.01 + 190.0, 1e-9);
 }
 
 TEST(SelfTimeTest, SubtractsChildCoverage) {

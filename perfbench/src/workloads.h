@@ -1,5 +1,5 @@
-// The three workloads (README.md): two open-loop serving workloads over
-// the binary wire protocol and one closed-loop training workload.
+// The workloads (README.md): open-loop serving over the binary wire
+// protocol and closed-loop training.
 #ifndef PERFBENCH_WORKLOADS_H_
 #define PERFBENCH_WORKLOADS_H_
 
@@ -7,7 +7,7 @@
 
 namespace perfbench {
 
-/// serve_small_hot and serve_large_distinct.
+/// serve_small_hot.
 Report RunServeWorkload(const RunOptions& options);
 
 /// train_hap.
