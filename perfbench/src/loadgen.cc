@@ -11,7 +11,9 @@
 #include <atomic>
 #include <cerrno>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "common/socket.h"
@@ -143,6 +145,9 @@ struct Receiver {
   uint64_t ticket_base = 0;
   LoadResult* result = nullptr;
   std::atomic<size_t> received{0};
+  /// Signalled on every answer, for a closed-loop sender waiting for one.
+  std::mutex mu;
+  std::condition_variable answered;
   std::atomic<bool> sender_done{false};
   std::atomic<size_t> sent{0};
   std::atomic<uint64_t> drain_deadline_ns{0};
@@ -231,6 +236,7 @@ struct Receiver {
         result->outcome[ticket] = outcome;
         result->latency_ns[ticket] = now - result->latency_ns[ticket];
         received.fetch_add(1, std::memory_order_relaxed);
+        answered.notify_one();
       } else {
         ++result->protocol_errors;
       }
@@ -297,13 +303,16 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   receiver.ticket_base = next_ticket_;
   next_ticket_ += n;
 
+  const bool closed = spec.window > 0;
   const uint64_t t0 = NowNs() + 2'000'000;  // 2 ms to get going
   double offset_ns = 0.0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n && !closed; ++i) {
     result.latency_ns[i] = t0 + static_cast<uint64_t>(offset_ns);
     offset_ns += -std::log(1.0 - arrivals_.Uniform()) * 1e9 / spec.rate;
   }
-  const uint64_t last_due = n == 0 ? t0 : result.latency_ns[n - 1];
+  const uint64_t last_due =
+      closed ? t0 + static_cast<uint64_t>(spec.closed_s * 1e9)
+             : (n == 0 ? t0 : result.latency_ns[n - 1]);
   receiver.drain_deadline_ns.store(
       last_due + static_cast<uint64_t>(spec.drain_s * 1e9));
   std::thread receive_thread([&receiver] { receiver.Run(); });
@@ -311,13 +320,15 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   if (::pthread_getcpuclockid(receive_thread.native_handle(), &receiver_clock) != 0) {
     result.error = "cannot read the receiver thread's CPU clock";
   }
-  // CPU time of the rest of the process since the run started: the
-  // process's minus the sender's (this thread) and the receiver's.
-  auto other_cpu_ns = [&] {
+  // Marks the time and the CPU time the rest of the process has used
+  // since the run started: the process's minus the sender's (this
+  // thread) and the receiver's.
+  auto mark = [&] {
     const uint64_t generator = CpuNs(CLOCK_THREAD_CPUTIME_ID) - sender_cpu0 +
                                CpuNs(receiver_clock);
     const uint64_t process = CpuNs(CLOCK_PROCESS_CPUTIME_ID) - process_cpu0;
-    return process > generator ? process - generator : 0;
+    result.mark_ns.push_back(NowNs());
+    result.mark_other_cpu_ns.push_back(process > generator ? process - generator : 0);
   };
 
   // Wake-ups on time: the default 50 us timer slack would show up as
@@ -327,11 +338,22 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   uint8_t header_bytes[hap::serve::kWireHeaderSize];
   bool socket_ok = true;
   for (size_t i = 0; i < n && socket_ok; ++i) {
-    const uint64_t due = result.latency_ns[i];
-    socket_ok = outbox.WaitUntil(due);
-    if (spec.cpu_every > 0 && i % spec.cpu_every == 0) {
-      result.other_cpu_ns.push_back(other_cpu_ns());
+    if (closed) {
+      // Wait for an answer while `window` requests are outstanding. The
+      // timeout covers a wake-up lost between the check and the wait, and
+      // flushes what a full socket refused.
+      while (socket_ok && i - receiver.received.load() >= spec.window &&
+             NowNs() < last_due) {
+        socket_ok = outbox.WaitUntil(NowNs());
+        std::unique_lock<std::mutex> lock(receiver.mu);
+        receiver.answered.wait_for(lock, std::chrono::milliseconds(1));
+      }
+      if (!socket_ok || NowNs() >= last_due) break;
+      result.latency_ns[i] = NowNs();
     }
+    const uint64_t due = result.latency_ns[i];
+    if (!closed) socket_ok = outbox.WaitUntil(due);
+    if (spec.mark_every > 0 && i % spec.mark_every == 0) mark();
     const uint64_t start = NowNs();
     result.lateness_ns[i] = start > due ? start - due : 0;
     WireHeader header;
@@ -350,7 +372,7 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
     result.bytes_sent += sizeof(header_bytes) + payloads[i]->size();
     ++result.sent;
   }
-  if (spec.cpu_every > 0) result.other_cpu_ns.push_back(other_cpu_ns());
+  if (spec.mark_every > 0) mark();
   while (socket_ok && !outbox.Empty() &&
          NowNs() < receiver.drain_deadline_ns.load()) {
     socket_ok = outbox.WaitUntil(std::min(NowNs() + 10'000'000,
@@ -360,6 +382,10 @@ LoadResult WireClient::Run(const std::vector<const std::string*>& payloads,
   receiver.sender_done.store(true, std::memory_order_release);
   receive_thread.join();
 
+  result.outcome.resize(result.sent);
+  result.prediction.resize(result.sent);
+  result.latency_ns.resize(result.sent);
+  result.lateness_ns.resize(result.sent);
   for (size_t i = 0; i < result.sent; ++i) {
     switch (result.outcome[i]) {
       case Outcome::kOk: ++result.ok; break;

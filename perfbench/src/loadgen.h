@@ -7,7 +7,8 @@
 // stall in the server or the generator is charged to every request it
 // delays; how late the sender itself ran is reported separately so a run
 // whose generator fell behind can be refused instead of being reported as
-// a slow server.
+// a slow server. A closed-loop mode (LoadSpec::window) instead keeps a
+// fixed number of requests outstanding, to saturate the server.
 #ifndef PERFBENCH_LOADGEN_H_
 #define PERFBENCH_LOADGEN_H_
 
@@ -23,11 +24,18 @@ enum class Outcome : uint8_t { kUnanswered, kOk, kShed, kError };
 
 struct LoadSpec {
   double rate = 1000.0;  // mean requests per second
+  /// 0: open loop on the Poisson schedule at `rate`. Otherwise closed
+  /// loop: `window` requests are kept outstanding, each sent as soon as
+  /// an earlier one is answered, for at most `closed_s` seconds; latency
+  /// then runs from the actual send and the unsent tail of the payload
+  /// list is dropped from the result.
+  size_t window = 0;
+  double closed_s = 0.0;
   /// How long after the last scheduled send to wait for stragglers
   /// before counting them as unanswered.
   double drain_s = 2.0;
-  /// Sample LoadResult::other_cpu_ns every this many sends (0: never).
-  size_t cpu_every = 0;
+  /// Record LoadResult::mark_ns every this many sends (0: never).
+  size_t mark_every = 0;
 };
 
 struct LoadResult {
@@ -40,12 +48,13 @@ struct LoadResult {
   size_t sent = 0, ok = 0, shed = 0, errors = 0, unanswered = 0;
   uint64_t bytes_sent = 0;
   size_t protocol_errors = 0;  // undecodable response frames
-  /// CPU time the rest of the process had used since the run started,
-  /// sampled just before each LoadSpec::cpu_every-th send and once after
-  /// the last send: the process's
-  /// CPU time minus the generator's two threads. With the server in the
-  /// same process and nothing else running, the server's CPU time.
-  std::vector<uint64_t> other_cpu_ns;
+  /// Marks, taken just before each LoadSpec::mark_every-th send and once
+  /// after the last send: NowNs(), and the CPU time the rest of the
+  /// process had used since the run started (the process's CPU time minus
+  /// the generator's two threads). With the server in the same process
+  /// and nothing else running, the latter is the server's CPU time.
+  std::vector<uint64_t> mark_ns;
+  std::vector<uint64_t> mark_other_cpu_ns;
   std::string error;  // non-empty: the run could not be carried out
 
   /// Latency quantile in ms over OK responses only.

@@ -1,5 +1,7 @@
 #include "report.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +23,28 @@ const T* Find(const std::vector<T>& items, const std::string& name) {
 }
 
 }  // namespace
+
+int AllowedCpus() {
+  cpu_set_t mask;
+  if (::sched_getaffinity(0, sizeof(mask), &mask) != 0) return 1;
+  return std::max(1, CPU_COUNT(&mask));
+}
+
+void MoveToCpu(int index) {
+  cpu_set_t mask;
+  if (::sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  const int target = index % std::max(1, CPU_COUNT(&mask));
+  for (int cpu = 0, seen = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &mask) || seen++ != target) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) == 0) {
+      ::sched_setaffinity(0, sizeof(mask), &mask);
+    }
+    return;
+  }
+}
 
 void Report::Mismatch(const std::string& what) {
   correct = false;

@@ -62,13 +62,23 @@ class ObsWindow {
   uint64_t start_ns_ = 0, end_ns_ = 0;
 };
 
-/// Timings are reported at this quantile over a run's samples (serving
-/// sub-windows, training repeats, set-ups) and rates at 1 minus it: noise
+/// Wall-clock timings are reported at this quantile over a run's samples
+/// (serving sub-windows, each training step's repeats, set-ups): noise
 /// from the host (descheduled vCPUs, slow phases) only ever slows a
 /// sample down, so the least disturbed samples are the program's, and a
-/// tenth rather than the minimum keeps one lucky sample from setting the
-/// result.
+/// tenth rather than the minimum keeps one lucky sample (or a step the
+/// poller saw late) from setting the result.
 constexpr double kLeastDisturbed = 0.1;
+
+/// Number of CPUs the calling thread may run on (at least 1).
+int AllowedCpus();
+
+/// Moves the calling thread onto the `index`-th CPU (modulo AllowedCpus())
+/// of its affinity mask, then restores the mask. A running thread stays
+/// where it is until the scheduler has a reason to move it, so what the
+/// thread does next runs on that CPU, while threads it starts keep the
+/// whole mask.
+void MoveToCpu(int index);
 
 /// a / b, or 0 when b is 0.
 double Ratio(double a, double b);

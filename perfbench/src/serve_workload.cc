@@ -40,7 +40,7 @@ constexpr int kConnections = 4;
 constexpr int kPoolThreads = 2;
 constexpr int kCheckThreads = 4;  // output checks, between windows
 constexpr int kHidden = 32;
-constexpr int kSetupRepeats = 31;
+constexpr int kSetupPerCpu = 12;
 /// Load at the nominal rate on the measuring connections before any
 /// window is measured: caches and arenas fill.
 constexpr double kWarmupSeconds = 3.0;
@@ -57,7 +57,15 @@ constexpr double kMaxLatenessP90Ms = 2.0;
 constexpr double kNominalQps = 1000.0;
 constexpr double kSettleSeconds = 3.0;
 constexpr size_t kSubWindow = 1000;
-constexpr size_t kMaxSubWindows = 20;
+constexpr size_t kMaxSubWindows = 30;
+/// Capacity, in the traced run: kCapacityShare of --seconds in closed
+/// loop with kCapacityWindow requests outstanding, in passes over a block
+/// of kCapacityBlock requests (kMaxCapacityQps bounds the payloads
+/// prepared per second).
+constexpr double kCapacityShare = 0.25;
+constexpr size_t kCapacityWindow = 128;
+constexpr size_t kCapacityBlock = 1000;
+constexpr double kMaxCapacityQps = 50000.0;
 /// Graphs replayed through the parse, cache and model layers.
 constexpr size_t kReplayGraphs = 64;
 /// Untraced/traced window pairs behind trace.overhead_frac.
@@ -166,19 +174,33 @@ struct Window {
   LoadResult result;
 };
 
-Window RunWindow(Corpus* corpus, WireClient* client, double rate,
-                 double seconds) {
+/// Runs `count` new requests from `corpus` on `client` under `spec`, or,
+/// with `block` > 0, `block` new requests repeated in the same order up
+/// to `count`; a closed-loop window keeps only the requests it sent.
+Window RunWindow(Corpus* corpus, WireClient* client, const LoadSpec& spec,
+                 size_t count, size_t block = 0) {
   Window w;
-  w.requests = corpus->Draw(static_cast<size_t>(std::max(1.0, rate * seconds)));
+  w.requests = corpus->Draw(std::max<size_t>(1, block > 0 ? block : count));
+  for (size_t i = w.requests.size(); i < count; ++i) {
+    w.requests.push_back(w.requests[i - block]);
+  }
   std::vector<const std::string*> payloads;
   payloads.reserve(w.requests.size());
   for (size_t r : w.requests) payloads.push_back(&corpus->Payload(r));
-  LoadSpec spec;
-  spec.rate = rate;
-  spec.drain_s = 10.0;
-  spec.cpu_every = kSubWindow;
   w.result = client->Run(payloads, spec);
+  w.requests.resize(w.result.sent);
   return w;
+}
+
+LoadSpec Nominal() {
+  LoadSpec spec;
+  spec.rate = kNominalQps;
+  spec.drain_s = 10.0;
+  return spec;
+}
+
+size_t NominalCount(double seconds) {
+  return static_cast<size_t>(kNominalQps * seconds);
 }
 
 bool GeneratorKeptUp(const LoadResult& r) {
@@ -268,22 +290,32 @@ Report RunServeWorkload(const RunOptions& options) {
     }
   }
 
-  // Set-up: checkpoint load, engine and server start, repeated; the last
-  // stack stays up. The traced run opens an access log, which turns on
-  // the engine's per-request stage stamps.
+  // Set-up: checkpoint load, engine and server start. The untraced run
+  // times kSetupPerCpu starts (each stopped again) on each CPU in turn
+  // (MoveToCpu), before and after its nominal window: back-to-back starts
+  // stay on one vCPU, and on a shared host one vCPU often runs markedly
+  // slower than the others for minutes. The traced run opens an access
+  // log, which turns on the engine's per-request stage stamps.
   std::vector<double> setup_s;
-  std::unique_ptr<Stack> stack;
-  const std::string access_log =
-      options.trace ? options.workdir + "/access.jsonl" : "";
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    stack.reset();
-    const uint64_t t0 = NowNs();
-    stack = StartStack(corpus, checkpoint, i + 1 == kSetupRepeats ? access_log : "");
-    setup_s.push_back(static_cast<double>(NowNs() - t0) / 1e9);
-    if (!stack) {
-      report.valid = false;
-      return report;
+  auto time_setups = [&] {
+    for (int i = 0; i < kSetupPerCpu * AllowedCpus(); ++i) {
+      if (i % kSetupPerCpu == 0) MoveToCpu(i / kSetupPerCpu);
+      const uint64_t t0 = NowNs();
+      const std::unique_ptr<Stack> timed = StartStack(corpus, checkpoint, "");
+      if (!timed) return false;
+      setup_s.push_back(static_cast<double>(NowNs() - t0) / 1e9);
     }
+    return true;
+  };
+  if (!options.trace && !time_setups()) {
+    report.valid = false;
+    return report;
+  }
+  const std::unique_ptr<Stack> stack =
+      StartStack(corpus, checkpoint, options.trace ? options.workdir + "/access.jsonl" : "");
+  if (!stack) {
+    report.valid = false;
+    return report;
   }
   // Output checks run on a separate instance of the same checkpoint, so
   // they never share a lane with the engine.
@@ -298,11 +330,13 @@ Report RunServeWorkload(const RunOptions& options) {
   const serve::ServedModel& model = *reference_model.value();
   std::map<size_t, int> reference;
 
-  // Runs one window at `rate` on `client` with obs deltas in `obs`, checks
-  // its outputs and its accounting, and counts its requests.
-  auto measure = [&](WireClient* client, double rate, double seconds, ObsWindow* obs) {
+  // Runs one window of `count` requests (see RunWindow) under `spec` on
+  // `client` with obs deltas in `obs`, checks its outputs and its
+  // accounting, and counts its requests.
+  auto measure = [&](WireClient* client, const LoadSpec& spec, size_t count,
+                     ObsWindow* obs, size_t block = 0) {
     *obs = ObsWindow();
-    Window w = RunWindow(&corpus, client, rate, seconds);
+    Window w = RunWindow(&corpus, client, spec, count, block);
     obs->Close();
     CheckAccounting(w.result, obs->Counter(names::kServeNetRequestsBinary), &report);
     CheckPredictions(corpus, model, w, &reference, &report);
@@ -321,7 +355,7 @@ Report RunServeWorkload(const RunOptions& options) {
       return nullptr;
     }
     ObsWindow obs;
-    measure(client.get(), kNominalQps, kWarmupSeconds, &obs);
+    measure(client.get(), Nominal(), NominalCount(kWarmupSeconds), &obs);
     return client;
   };
   std::unique_ptr<WireClient> client = connect(stack.get());
@@ -339,7 +373,8 @@ Report RunServeWorkload(const RunOptions& options) {
     // for kLeastDisturbed.
     ObsWindow obs;
     const LoadResult r =
-        measure(client.get(), kNominalQps, kSettleSeconds + options.seconds, &obs).result;
+        measure(client.get(), Nominal(), NominalCount(kSettleSeconds + options.seconds), &obs)
+            .result;
     if (!GeneratorKeptUp(r)) {
       std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
       report.valid = false;
@@ -352,24 +387,19 @@ Report RunServeWorkload(const RunOptions& options) {
         ok_ms.push_back(static_cast<double>(r.latency_ns[i]) / 1e6);
       }
     }
-    const SubWindowSummary latency = SubWindowQuantiles(ok_ms, kSubWindow, kMaxSubWindows, kLeastDisturbed);
-    // Capacity per sub-window of kSubWindow sends: sends over the server
-    // CPU time between the samples at its ends.
-    std::vector<double> capacities;
-    for (size_t k = settle / kSubWindow; k + 1 < r.other_cpu_ns.size(); ++k) {
-      const double cpu_s = static_cast<double>(r.other_cpu_ns[k + 1] - r.other_cpu_ns[k]) / 1e9;
-      capacities.push_back(Ratio(static_cast<double>(kSubWindow), cpu_s));
-    }
-    const double capacity = Quantile(capacities, 1.0 - kLeastDisturbed);
+    const SubWindowSummary latency =
+        SubWindowQuantiles(ok_ms, kSubWindow, kMaxSubWindows, kLeastDisturbed);
     std::fprintf(stderr,
                  "perfbench: nominal %.0f req/s: %zu sent, %zu ok, lateness p90 %.3f ms; "
-                 "%zu sub-windows: p50 %.3f ms, tail %.3f ms; %.0f answers "
-                 "per server CPU-second\n",
+                 "%zu sub-windows: p50 %.3f ms, tail %.3f ms\n",
                  kNominalQps, r.sent, r.ok, r.LatenessQuantileMs(0.9), latency.windows,
-                 latency.p50, latency.tail, capacity);
+                 latency.p50, latency.tail);
+    if (!time_setups()) {
+      report.valid = false;
+      return report;
+    }
     report.Set("latency_p50_ms", latency.p50, "ms");
     report.Set("latency_p99_ms", latency.tail, "ms");
-    report.Set("throughput_per_s", capacity, "1/s");
     report.Set("setup_s", Quantile(setup_s, kLeastDisturbed), "s");
     report.Set("peak_rss_mb", PeakRssMb(), "MB");
     return report;
@@ -380,7 +410,8 @@ Report RunServeWorkload(const RunOptions& options) {
   // stack without the log, then replays of the window's own inputs
   // through the parse, cache and model layers under spans.
   ObsWindow obs;
-  const Window w = measure(client.get(), kNominalQps, 0.5 * options.seconds, &obs);
+  const Window w =
+      measure(client.get(), Nominal(), NominalCount(0.5 * options.seconds), &obs);
   const LoadResult& r = w.result;
   if (!GeneratorKeptUp(r)) {
     std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
@@ -440,8 +471,8 @@ Report RunServeWorkload(const RunOptions& options) {
     std::vector<double> ratios;
     for (int pair = 0; pair < kOverheadPairs; ++pair) {
       ObsWindow plain_obs, traced_obs;
-      const Window a = measure(plain_client.get(), kNominalQps, pair_s, &plain_obs);
-      const Window b = measure(client.get(), kNominalQps, pair_s, &traced_obs);
+      const Window a = measure(plain_client.get(), Nominal(), NominalCount(pair_s), &plain_obs);
+      const Window b = measure(client.get(), Nominal(), NominalCount(pair_s), &traced_obs);
       if (!GeneratorKeptUp(a.result) || !GeneratorKeptUp(b.result)) {
         std::fprintf(stderr, "perfbench: generator fell behind its schedule; run invalid\n");
         report.valid = false;
@@ -451,6 +482,32 @@ Report RunServeWorkload(const RunOptions& options) {
                              plain_obs.SketchQuantileMs(names::kServeLatencyNs, 0.5)) - 1.0);
     }
     report.Set("trace.overhead_frac", Median(ratios), "ratio");
+
+    // Capacity, on the stack without the access log: closed loop at
+    // saturation, one block of kCapacityBlock new requests sent over and
+    // over, so every pass over the block is the same work; the block's
+    // size over the median server CPU time of a pass. CPU time, because
+    // time the host takes a vCPU away does not count in it; the median,
+    // because a pass's interval holds a pass's worth of answers give or
+    // take the requests outstanding.
+    LoadSpec closed;
+    closed.window = kCapacityWindow;
+    closed.closed_s = kCapacityShare * options.seconds;
+    closed.drain_s = 10.0;
+    closed.mark_every = kCapacityBlock;
+    ObsWindow closed_obs;
+    const LoadResult c =
+        measure(plain_client.get(), closed,
+                static_cast<size_t>(kMaxCapacityQps * closed.closed_s), &closed_obs,
+                kCapacityBlock)
+            .result;
+    std::vector<double> pass_cpu_s;
+    for (size_t k = 0; k + 2 < c.mark_ns.size(); ++k) {  // the last pass is partial
+      pass_cpu_s.push_back(
+          static_cast<double>(c.mark_other_cpu_ns[k + 1] - c.mark_other_cpu_ns[k]) / 1e9);
+    }
+    report.Set("serve.capacity_per_cpu_s",
+               Ratio(static_cast<double>(kCapacityBlock), Median(pass_cpu_s)), "1/s");
   }
 
   // Replays over the window's first distinct graphs, in request order.

@@ -41,6 +41,15 @@ SubWindowSummary SubWindowQuantiles(const std::vector<double>& values,
   return out;
 }
 
+std::vector<double> PerIndexQuantile(const std::vector<std::vector<double>>& samples,
+                                     double q, size_t min_samples) {
+  std::vector<double> out;
+  for (const std::vector<double>& s : samples) {
+    if (!s.empty() && s.size() >= min_samples) out.push_back(Quantile(s, q));
+  }
+  return out;
+}
+
 uint64_t CoveredNs(const Interval& parent, std::vector<Interval> children) {
   std::vector<Interval> clipped;
   clipped.reserve(children.size());

@@ -36,6 +36,15 @@ SubWindowSummary SubWindowQuantiles(const std::vector<double>& values,
                                     size_t per_window = 1000,
                                     size_t max_windows = 5, double over = 0.5);
 
+/// Quantile `q` of each index's samples, for work that is repeated
+/// identically (a same-seed training run, step by step): samples[i] holds
+/// index i's time in every repeat that timed it. Indices timed by fewer
+/// than `min_samples` repeats are left out. Noise that slows the host
+/// down in some moments then only has to miss each index in a few of
+/// the repeats, not a whole repeat.
+std::vector<double> PerIndexQuantile(const std::vector<std::vector<double>>& samples,
+                                     double q, size_t min_samples);
+
 /// A closed interval on one clock, in nanoseconds.
 struct Interval {
   uint64_t start = 0;

@@ -72,6 +72,25 @@ TEST(SubWindowQuantilesTest, LowQuantileReportsTheLessDisturbedWindows) {
   EXPECT_NEAR(s.tail, 990.01 + 190.0, 1e-9);
 }
 
+TEST(PerIndexQuantileTest, SlowMomentsInSomeRepeatsDoNotMoveIt) {
+  // Three indices whose true times are 1, 2 and 3, timed in ten repeats;
+  // every repeat is slowed (x3) at one index, which no whole-repeat
+  // statistic would survive. Index 3 was timed only once.
+  std::vector<std::vector<double>> samples(4);
+  for (int r = 0; r < 10; ++r) {
+    for (int i = 0; i < 3; ++i) {
+      samples[i].push_back((i + 1) * (r % 3 == i ? 3.0 : 1.0));
+    }
+  }
+  samples[3].push_back(7.0);
+  const std::vector<double> out = PerIndexQuantile(samples, 0.1, 5);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_DOUBLE_EQ(out[0], 1.0);
+  EXPECT_DOUBLE_EQ(out[1], 2.0);
+  EXPECT_DOUBLE_EQ(out[2], 3.0);
+  EXPECT_EQ(PerIndexQuantile(samples, 0.1, 1).size(), 4u);
+}
+
 TEST(SelfTimeTest, SubtractsChildCoverage) {
   // Parent [0, 100); children cover [10, 30) and [50, 60): self 70.
   EXPECT_EQ(SelfNs({0, 100}, {{10, 30}, {50, 60}}), 70u);

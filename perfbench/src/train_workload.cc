@@ -124,20 +124,20 @@ class StepPoller {
   std::thread thread_;
 };
 
-/// Wall time of each optimizer step in ms: from its start to the next
-/// step's start, for every step whose start and successor's start the
-/// poller saw exactly. The last step of each epoch is left out, because
-/// the evaluation between epochs follows it.
-std::vector<double> StepTimesMs(const std::vector<StepPoller::Seen>& seen, int per_epoch) {
-  std::vector<double> out;
+/// Adds the wall time of each optimizer step in ms to times[step - 1]:
+/// from its start to the next step's start, for every step whose start
+/// and successor's start the poller saw exactly. The last step of each
+/// epoch is left out, because the evaluation between epochs follows it.
+void AddStepTimesMs(const std::vector<StepPoller::Seen>& seen, int per_epoch,
+                    std::vector<std::vector<double>>* times) {
   for (size_t i = 0; i + 1 < seen.size(); ++i) {
     const uint64_t step = seen[i].steps;
-    if (seen[i + 1].steps != step + 1 || step % static_cast<uint64_t>(per_epoch) == 0) {
+    if (seen[i + 1].steps != step + 1 || step % static_cast<uint64_t>(per_epoch) == 0 ||
+        step > times->size()) {
       continue;
     }
-    out.push_back(static_cast<double>(seen[i + 1].ns - seen[i].ns) / 1e6);
+    (*times)[step - 1].push_back(static_cast<double>(seen[i + 1].ns - seen[i].ns) / 1e6);
   }
-  return out;
 }
 
 bool AllFinite(const std::vector<double>& values) {
@@ -250,14 +250,18 @@ Report RunTrainWorkload(const RunOptions& options) {
   const ClassifierFactory factory = [&corpus] { return MakeModel(corpus.dataset); };
 
   if (!options.trace) {
-    // Repeat whole TrainClassifier runs until the time is used up. Set-up
-    // (PrepareDataset and model build) is timed on every repeat. Each
-    // repeat is a sample for kLeastDisturbed.
-    std::vector<double> setup_s, throughput, step_p50, step_tail;
+    // Repeat whole TrainClassifier runs until the time is used up; each
+    // repeat runs the same steps on the same batches. Set-up
+    // (PrepareDataset and model build) is timed on every repeat. Step k's
+    // time is its kLeastDisturbed quantile over the repeats
+    // (PerIndexQuantile), and the metrics are taken over those step times.
+    std::vector<double> setup_s;
+    std::vector<std::vector<double>> step_ms(static_cast<size_t>(per_epoch) * config.epochs);
     std::vector<double> first_losses;
+    int repeats = 0;
     const uint64_t deadline =
         NowNs() + static_cast<uint64_t>(options.seconds * 1e9);
-    for (int repeat = 0; repeat < 2 || NowNs() < deadline; ++repeat) {
+    for (; repeats < 2 || NowNs() < deadline; ++repeats) {
       const uint64_t t0 = NowNs();
       const std::vector<PreparedGraph> data = PrepareDataset(corpus.dataset);
       std::unique_ptr<GraphClassifier> model = MakeModel(corpus.dataset);
@@ -265,20 +269,9 @@ Report RunTrainWorkload(const RunOptions& options) {
       setup_s.push_back(static_cast<double>(t1 - t0) / 1e9);
 
       StepPoller poller;
-      const uint64_t t2 = NowNs();
       const ClassificationResult result =
           TrainClassifier(model.get(), data, corpus.split, config, factory);
-      const uint64_t t3 = NowNs();
-      const std::vector<double> steps = StepTimesMs(poller.Stop(), per_epoch);
-      throughput.push_back(
-          GraphsPerSecond(corpus, config, static_cast<double>(t3 - t2) / 1e9));
-      step_p50.push_back(Median(steps));
-      step_tail.push_back(Quantile(steps, TailQuantile(steps.size())));
-      std::fprintf(stderr,
-                   "perfbench: repeat %d: %.1f graphs/s, %zu steps timed, p50 %.3f ms, "
-                   "tail p%.2f %.3f ms\n",
-                   repeat, throughput.back(), steps.size(), step_p50.back(),
-                   100.0 * TailQuantile(steps.size()), step_tail.back());
+      AddStepTimesMs(poller.Stop(), per_epoch, &step_ms);
 
       report.attempted += static_cast<uint64_t>(per_epoch) * config.epochs;
       for (double loss : result.epoch_losses) {
@@ -287,15 +280,24 @@ Report RunTrainWorkload(const RunOptions& options) {
       if (static_cast<int>(result.epoch_losses.size()) != config.epochs) {
         report.Mismatch("training stopped early");
       }
-      if (repeat == 0) {
+      if (repeats == 0) {
         first_losses = result.epoch_losses;
       } else if (result.epoch_losses != first_losses) {
         report.Mismatch("epoch loss trajectory differs across same-seed repeats");
       }
     }
-    report.Set("latency_p50_ms", Quantile(step_p50, kLeastDisturbed), "ms");
-    report.Set("latency_p99_ms", Quantile(step_tail, kLeastDisturbed), "ms");
-    report.Set("throughput_per_s", Quantile(throughput, 1.0 - kLeastDisturbed), "1/s");
+    const std::vector<double> steps =
+        PerIndexQuantile(step_ms, kLeastDisturbed, static_cast<size_t>(repeats + 1) / 2);
+    double total_ms = 0.0;
+    for (double ms : steps) total_ms += ms;
+    const double tail_q = TailQuantile(steps.size());
+    std::fprintf(stderr,
+                 "perfbench: %d repeats, %zu steps timed: p50 %.3f ms, tail p%.2f %.3f ms, "
+                 "mean %.3f ms\n",
+                 repeats, steps.size(), Median(steps), 100.0 * tail_q,
+                 Quantile(steps, tail_q), Ratio(total_ms, static_cast<double>(steps.size())));
+    report.Set("latency_p50_ms", Median(steps), "ms");
+    report.Set("latency_p99_ms", Quantile(steps, tail_q), "ms");
     report.Set("setup_s", Quantile(setup_s, kLeastDisturbed), "s");
     report.Set("peak_rss_mb", PeakRssMb(), "MB");
     return report;
@@ -357,6 +359,13 @@ Report RunTrainWorkload(const RunOptions& options) {
   if (mirror_current) {
     std::vector<double> step_ms;
     for (uint64_t ns : spans.Durations("step")) step_ms.push_back(static_cast<double>(ns) / 1e6);
+    double step_total_ms = 0.0;
+    for (double ms : step_ms) step_total_ms += ms;
+    report.Set("train.graphs_per_s",
+               Ratio(static_cast<double>(config.epochs) *
+                         static_cast<double>(corpus.split.train.size()),
+                     step_total_ms / 1e3),
+               "1/s");
     report.Set("train.step_ms_p50", Median(step_ms), "ms");
     report.Set("train.step_ms_p99", Quantile(step_ms, TailQuantile(step_ms.size())), "ms");
     report.Set("train.slice_ms_mean", Ratio(total_ms("slice", false), count("slice")), "ms");
