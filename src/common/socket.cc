@@ -25,6 +25,17 @@ sockaddr_in LoopbackAddr(int port) {
   return addr;
 }
 
+// Responses on these sockets are small and answer a request: waiting to
+// fill a segment (Nagle) only adds latency, up to the peer's delayed-ACK
+// timer once one segment is in flight.
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Status::Internal(Errno("setsockopt TCP_NODELAY"));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 StatusOr<int> ListenLoopback(int port, int backlog) {
@@ -66,11 +77,39 @@ StatusOr<int> ConnectLoopback(int port) {
     ::close(fd);
     return s;
   }
-  // Request/response round trips on loopback: waiting to fill a segment
-  // only adds latency.
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (Status s = SetNoDelay(fd); !s.ok()) {
+    ::close(fd);
+    return s;
+  }
   return fd;
+}
+
+StatusOr<int> AcceptNonBlocking(int listen_fd) {
+  while (true) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      if (Status s = SetNoDelay(fd); !s.ok()) {
+        ::close(fd);
+        return s;
+      }
+      return fd;
+    }
+    switch (errno) {
+      case EAGAIN:  // == EWOULDBLOCK on Linux, the only accept4 platform
+        return kNoPendingConnection;
+      case EINTR:
+      case ECONNABORTED:  // that connection is gone; try the next one
+        continue;
+      case EMFILE:
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+        return Status::ResourceExhausted(Errno("accept"));
+      default:
+        return Status::Internal(Errno("accept"));
+    }
+  }
 }
 
 Status SetNonBlocking(int fd) {

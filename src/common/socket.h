@@ -27,8 +27,22 @@ StatusOr<int> ListenLoopback(int port, int backlog = 64);
 /// The local port a bound socket actually listens on (resolves port 0).
 StatusOr<int> BoundPort(int fd);
 
-/// Blocking connect to 127.0.0.1:`port`; returns the connected fd.
+/// Blocking connect to 127.0.0.1:`port`; returns the connected fd,
+/// with TCP_NODELAY set.
 StatusOr<int> ConnectLoopback(int port);
+
+/// What AcceptNonBlocking returns when the backlog is empty (EAGAIN):
+/// not an error, just nothing to accept until the listener is readable.
+inline constexpr int kNoPendingConnection = -1;
+
+/// Accepts one pending connection on the non-blocking listener
+/// `listen_fd`. The returned fd is O_NONBLOCK and FD_CLOEXEC and has
+/// TCP_NODELAY set: a request/response socket never wants Nagle's
+/// algorithm holding a small response until the peer's delayed ACK.
+/// Returns kNoPendingConnection when the backlog is empty; an exhausted
+/// fd table or kernel memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) is
+/// ResourceExhausted, any other failure Internal.
+StatusOr<int> AcceptNonBlocking(int listen_fd);
 
 /// Marks `fd` O_NONBLOCK.
 Status SetNonBlocking(int fd);

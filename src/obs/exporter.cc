@@ -190,6 +190,9 @@ bool AtomicWrite(const std::string& path, const std::string& content) {
   return true;
 }
 
+// HTTP mode: how long a connected client has to send its request.
+constexpr int kRequestTimeoutMs = 1000;
+
 }  // namespace
 
 struct TelemetryExporter::Impl {
@@ -258,6 +261,13 @@ struct TelemetryExporter::Impl {
       if (ready <= 0) continue;
       const int client = ::accept(listen_fd, nullptr, nullptr);
       if (client < 0) continue;
+      // A client that connects and sends nothing must not hold up later
+      // scrapes, nor Stop(), which joins this thread.
+      pollfd request_ready{client, POLLIN, 0};
+      if (::poll(&request_ready, 1, kRequestTimeoutMs) <= 0) {
+        ::close(client);
+        continue;
+      }
       char request[1024];
       const ssize_t got = ::recv(client, request, sizeof(request) - 1, 0);
       const bool want_json =

@@ -14,7 +14,8 @@
 //  * HAP_PROM=<port> (all digits) — serve the Prometheus text over a
 //    minimal blocking HTTP listener on 127.0.0.1:<port>; `GET /metrics`
 //    (any path, actually) returns the current render. JSON is at
-//    `GET /json`.
+//    `GET /json`. A client gets 1 s to send its request before it is
+//    hung up on, so a silent connection cannot stall the listener.
 //  * Programmatic: construct a TelemetryExporter directly.
 // HAP_PROM implies SetMetricsEnabled(true) — an exporter with timing
 // histograms and sketches empty would be useless.

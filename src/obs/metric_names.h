@@ -131,6 +131,10 @@ inline constexpr char kServeNetProtocolErrors[] = "serve.net.protocol_errors";
 // connections reaped after sitting idle past the timeout.
 inline constexpr char kServeNetConnRefused[] = "serve.net.conn_refused";
 inline constexpr char kServeNetIdleClosed[] = "serve.net.idle_closed";
+// Failed accepts. When the fd table or kernel memory is exhausted the
+// pending connection stays queued, so the server stops polling the
+// listener for a short pause instead of spinning on it.
+inline constexpr char kServeNetAcceptErrors[] = "serve.net.accept_errors";
 
 }  // namespace hap::obs::names
 

@@ -36,6 +36,10 @@ constexpr uint64_t kFirstConnId = 16;
 
 constexpr size_t kMaxHttpHead = 64 * 1024;
 
+// How long the listener stays disarmed after accept ran out of fds or
+// kernel memory, unless a connection closes first.
+constexpr int kAcceptPauseMs = 100;
+
 struct Completion {
   uint64_t conn_id = 0;
   uint64_t ticket = 0;
@@ -219,7 +223,7 @@ std::string StatsJson(size_t queue_depth) {
       obs::names::kServeNetConnections,  obs::names::kServeNetRequestsBinary,
       obs::names::kServeNetRequestsHttp, obs::names::kServeNetProtocolErrors,
       obs::names::kServeDeadlineSkipped, obs::names::kServeNetConnRefused,
-      obs::names::kServeNetIdleClosed,
+      obs::names::kServeNetIdleClosed,   obs::names::kServeNetAcceptErrors,
   };
   std::string out = "{\"queue_depth\":" + std::to_string(queue_depth);
   out += ",\"counters\":{";
@@ -255,6 +259,9 @@ struct Server::Loop {
   std::shared_ptr<CompletionState> completions;
   std::unordered_map<uint64_t, Connection> conns;
   uint64_t next_conn_id = kFirstConnId;
+  // Nonzero while the listener is disarmed (see PauseAccepting): the
+  // monotonic time at which it is re-armed.
+  uint64_t accept_resume_ns = 0;
 
   ~Loop() {
     for (auto& [id, conn] : conns) CloseFd(conn.fd);
@@ -278,7 +285,7 @@ struct Server::Loop {
                   10, std::min<int64_t>(idle_ms / 2, 1000)))
             : -1;
     while (!stopping) {
-      const int n = ::epoll_wait(epoll_fd, events, 64, wait_ms);
+      const int n = ::epoll_wait(epoll_fd, events, 64, WaitMs(wait_ms));
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -299,7 +306,41 @@ struct Server::Loop {
         }
       }
       if (idle_ms > 0) SweepIdle(static_cast<uint64_t>(idle_ms) * 1'000'000);
+      if (accept_resume_ns != 0 && obs::MonotonicNs() >= accept_resume_ns) {
+        ResumeAccepting();
+      }
     }
+  }
+
+  /// The epoll_wait timeout: `base_ms` (-1 = forever), shortened so a
+  /// paused listener is re-armed on time.
+  int WaitMs(int base_ms) const {
+    if (accept_resume_ns == 0) return base_ms;
+    const uint64_t now = obs::MonotonicNs();
+    const int resume_ms =
+        now >= accept_resume_ns
+            ? 0
+            : static_cast<int>((accept_resume_ns - now + 999'999) / 1'000'000);
+    return base_ms < 0 ? resume_ms : std::min(base_ms, resume_ms);
+  }
+
+  /// The listener is level-triggered and a connection that accept could
+  /// not take stays queued, so polling it would wake the loop at once,
+  /// forever. Disarm it until kAcceptPauseMs pass or a connection closes.
+  void PauseAccepting() {
+    epoll_event ev{};
+    ev.data.u64 = kListenTag;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, listen_fd, &ev);
+    accept_resume_ns =
+        obs::MonotonicNs() + static_cast<uint64_t>(kAcceptPauseMs) * 1'000'000;
+  }
+
+  void ResumeAccepting() {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenTag;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, listen_fd, &ev);
+    accept_resume_ns = 0;
   }
 
   /// Closes connections whose last socket activity is older than
@@ -326,10 +367,20 @@ struct Server::Loop {
         obs::GetCounter(obs::names::kServeNetConnections);
     static obs::Counter* refused =
         obs::GetCounter(obs::names::kServeNetConnRefused);
+    static obs::Counter* accept_errors =
+        obs::GetCounter(obs::names::kServeNetAcceptErrors);
     const size_t cap = server->config_.max_connections;
     while (true) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN / transient — retry on next wake
+      StatusOr<int> accepted_fd = AcceptNonBlocking(listen_fd);
+      if (!accepted_fd.ok()) {
+        accept_errors->Increment();
+        if (accepted_fd.status().code() == StatusCode::kResourceExhausted) {
+          PauseAccepting();
+        }
+        break;
+      }
+      const int fd = accepted_fd.value();
+      if (fd == kNoPendingConnection) break;
       if (cap > 0 && conns.size() >= cap) {
         // At the cap: refuse with a typed response instead of letting a
         // slowloris herd pin fds. Best-effort single write — the
@@ -346,10 +397,6 @@ struct Server::Loop {
         [[maybe_unused]] ssize_t n =
             ::send(fd, kRefusal.data(), kRefusal.size(), MSG_NOSIGNAL);
         refused->Increment();
-        CloseFd(fd);
-        continue;
-      }
-      if (!SetNonBlocking(fd).ok()) {
         CloseFd(fd);
         continue;
       }
@@ -375,6 +422,7 @@ struct Server::Loop {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, it->second.fd, nullptr);
     CloseFd(it->second.fd);
     conns.erase(it);
+    if (accept_resume_ns != 0) ResumeAccepting();  // an fd just came free
   }
 
   void UpdateInterest(uint64_t id, Connection& conn) {

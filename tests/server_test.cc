@@ -1,13 +1,23 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -373,6 +383,85 @@ TEST(ServerTest, CacheSharesPreparedGraphsAcrossWireRequests) {
       << "identical payloads must prepare once";
   EXPECT_EQ(obs::CounterValue(obs::names::kServeCacheHit) - hits_before, 2u);
   CloseFd(fd);
+}
+
+/// Fills this process's fd table: lowers the soft RLIMIT_NOFILE and
+/// opens /dev/null until open fails with EMFILE. Restores both on
+/// Release() or destruction, so a failing assertion cannot leak the
+/// limit into later tests.
+class FdTableFiller {
+ public:
+  FdTableFiller() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 256);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+    for (int i = 0; i < 4096; ++i) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        full_ = errno == EMFILE;
+        break;
+      }
+      fds_.push_back(fd);
+    }
+  }
+  ~FdTableFiller() { Release(); }
+  FdTableFiller(const FdTableFiller&) = delete;
+  FdTableFiller& operator=(const FdTableFiller&) = delete;
+
+  bool full() const { return full_; }
+
+  void Release() {
+    for (int fd : fds_) ::close(fd);
+    fds_.clear();
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> fds_;
+  bool full_ = false;
+};
+
+TEST(ServerTest, FullFdTablePausesAcceptInsteadOfSpinning) {
+  ServerFixture fx;
+  // The client socket exists before the table fills; connect() needs no
+  // new fd, so the handshake completes into the listener's backlog while
+  // the server's accept has nowhere to put the connection.
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  const timeval recv_timeout{5, 0};
+  ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(fx.server->port()));
+
+  const uint64_t errors_before =
+      obs::CounterValue(obs::names::kServeNetAcceptErrors);
+  FdTableFiller filler;
+  ASSERT_TRUE(filler.full());
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t errors =
+      obs::CounterValue(obs::names::kServeNetAcceptErrors) - errors_before;
+  filler.Release();
+
+  // A level-triggered listener that kept firing would count thousands.
+  EXPECT_GE(errors, 1u) << "accept never hit the full fd table";
+  EXPECT_LT(errors, 10u) << "the event loop spun on the pending connection";
+
+  // With fds free again the queued connection is accepted and served.
+  ASSERT_TRUE(SendPredict(client, /*ticket=*/1, 0, fx.GraphText(0)).ok());
+  std::string payload;
+  StatusOr<WireHeader> header = RecvFrame(client, &payload);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header.value().type, FrameType::kPredictOk);
+  EXPECT_EQ(DecodePrediction(payload).value(), fx.direct[0]);
+  CloseFd(client);
 }
 
 TEST(GraphCacheTest, CanonicalKeyIgnoresGraphLabelNotContent) {

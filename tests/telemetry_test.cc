@@ -4,6 +4,7 @@
 // per-request access log.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -403,11 +404,14 @@ TEST(ExporterTest, IntervalSketchesAreDeltas) {
   obs::ResetMetrics();
 }
 
-// Raw loopback HTTP GET; returns 0 on success with the full response
-// (headers + body) in *out.
-int HttpGet(int port, const char* request_path, std::string* out) {
+// Connects to 127.0.0.1:`port` with a 5 s receive timeout, so a server
+// that never answers fails the test instead of hanging it; -1 on error.
+int ConnectWithTimeout(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  const timeval recv_timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -416,6 +420,14 @@ int HttpGet(int port, const char* request_path, std::string* out) {
     ::close(fd);
     return -1;
   }
+  return fd;
+}
+
+// Raw loopback HTTP GET; returns 0 on success with the full response
+// (headers + body) in *out.
+int HttpGet(int port, const char* request_path, std::string* out) {
+  const int fd = ConnectWithTimeout(port);
+  if (fd < 0) return -1;
   const std::string request = std::string("GET ") + request_path +
                               " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                               "Connection: close\r\n\r\n";
@@ -456,6 +468,42 @@ TEST(ExporterTest, HttpModeServesMetricsOnLoopback) {
   EXPECT_TRUE(ParseJson(json_response.substr(json_start + 4)).ok());
   exporter.Stop();
   obs::ResetMetrics();
+}
+
+TEST(ExporterTest, SilentClientBlocksNeitherScrapesNorStop) {
+  obs::TelemetryExporter::Options options;
+  options.port = 0;
+  obs::TelemetryExporter exporter(options);
+  ASSERT_GT(exporter.bound_port(), 0);
+
+  // Connects and never sends a byte.
+  const int silent = ConnectWithTimeout(exporter.bound_port());
+  ASSERT_GE(silent, 0);
+  std::string response;
+  EXPECT_EQ(HttpGet(exporter.bound_port(), "/metrics", &response), 0);
+  EXPECT_NE(response.find("200 OK"), std::string::npos)
+      << "a scrape behind a silent client went unanswered";
+
+  // Stop() joins the listener thread while another silent client waits.
+  const int silent_at_stop = ConnectWithTimeout(exporter.bound_port());
+  ASSERT_GE(silent_at_stop, 0);
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&exporter, &stopped] {
+    exporter.Stop();
+    stopped = true;
+  });
+  const auto start = std::chrono::steady_clock::now();
+  while (!stopped &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(3)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const bool stopped_in_time = stopped;
+  // Hanging up unblocks a listener stuck in recv, so the test ends either
+  // way.
+  ::close(silent);
+  ::close(silent_at_stop);
+  stopper.join();
+  EXPECT_TRUE(stopped_in_time) << "Stop() did not return within 3 s";
 }
 
 // --- Exemplars -------------------------------------------------------
