@@ -1,7 +1,7 @@
 // Reduced-precision GEMM benchmark (docs/PERFORMANCE.md "Reduced-
 // precision inference"): two measurements in one JSON.
 //
-// Part A — per-shape kernel sweep. Times MatMul at fp32, bf16, and int8
+// Part A — per-shape kernel sweep. Times MatMul at fp32 and int8
 // (dynamic activation quantization, the worst case for int8) across
 // shapes from "too small to bother" to the serving hot path's A·H
 // propagation shape. Small shapes are included deliberately: below the
@@ -256,20 +256,16 @@ int main(int argc, char** argv) {
     const int iters = std::max(1, static_cast<int>(flop_budget / flops));
     const double fp32_ns =
         TimeMatMulNs(a, b, Precision::kFp32, iters, sweep_reps);
-    const double bf16_ns =
-        TimeMatMulNs(a, b, Precision::kBf16, iters, sweep_reps);
     const double int8_ns =
         TimeMatMulNs(a, b, Precision::kInt8, iters, sweep_reps);
     const bool eligible = kernels::ShapeWantsInt8(s.m, s.k, s.n);
     const double int8_speedup = fp32_ns / int8_ns;
-    const double bf16_speedup = fp32_ns / bf16_ns;
     if (s.m == acceptance.m && s.k == acceptance.k && s.n == acceptance.n) {
       acceptance_speedup = int8_speedup;
     }
     std::printf(
-        "  %3dx%3dx%3d : fp32 %9.0f  bf16 %9.0f  int8 %9.0f  "
-        "(int8 %.2fx%s)\n",
-        s.m, s.k, s.n, fp32_ns, bf16_ns, int8_ns, int8_speedup,
+        "  %3dx%3dx%3d : fp32 %9.0f  int8 %9.0f  (int8 %.2fx%s)\n",
+        s.m, s.k, s.n, fp32_ns, int8_ns, int8_speedup,
         eligible ? "" : ", below int8 threshold");
     json.BeginObject();
     json.Field("m", s.m);
@@ -277,9 +273,7 @@ int main(int argc, char** argv) {
     json.Field("n", s.n);
     json.Field("int8_eligible", eligible);
     json.Field("fp32_ns", fp32_ns);
-    json.Field("bf16_ns", bf16_ns);
     json.Field("int8_ns", int8_ns);
-    json.Field("speedup_bf16_vs_fp32", bf16_speedup);
     json.Field("speedup_int8_vs_fp32", int8_speedup);
     json.EndObject();
   }
@@ -344,7 +338,9 @@ int main(int argc, char** argv) {
   json.Field("hidden", model_config.hidden);
 
   // Scorer replica for the Kendall-tau similarity rankings (same
-  // checkpoint).
+  // checkpoint). Eval mode, like the served replicas: in training mode
+  // every Embed draws fresh Gumbel noise, and the rankings would then
+  // compare noise draws rather than precisions.
   Rng scorer_init(5);
   GraphClassifier scorer(
       MakeEmbedderByName(model_config.method, model_config.feature_dim,
@@ -354,6 +350,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot reload %s\n", checkpoint.c_str());
     return 1;
   }
+  scorer.set_training(false);
   const std::vector<double> fp32_scores =
       SimilarityScores(scorer, prepared, Precision::kFp32, nullptr);
   if (std::getenv("HAP_BENCH_DEBUG") != nullptr) {
@@ -367,8 +364,7 @@ int main(int argc, char** argv) {
   double qps_fp32 = 0.0, qps_int8 = 0.0;
   std::vector<int> fp32_reference;
   json.BeginArray("serve");
-  for (Precision precision :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
     ServedModelConfig config = model_config;
     config.precision = precision;
     if (precision == Precision::kInt8) {

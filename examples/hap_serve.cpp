@@ -56,7 +56,7 @@ constexpr char kUsage[] =
     "                 [--requests N] [--qps N] [--max-batch N]\n"
     "                 [--max-delay-us N] [--seed N] [--predictions-out path]\n"
     "                 [--coarsen-mode dense|topk|auto] [--topk K]\n"
-    "                 [--precision fp32|bf16|int8] [--access-log path]\n";
+    "                 [--precision fp32|int8] [--access-log path]\n";
 
 template <typename T>
 T FlagValueOrDie(const StatusOr<T>& result) {
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   const std::string precision_text = flags.GetString("precision", "fp32");
   Precision precision = Precision::kFp32;
   if (!ParsePrecision(precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16|int8)\n%s",
+    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n%s",
                  precision_text.c_str(), kUsage);
     return 2;
   }

@@ -17,7 +17,7 @@
 //              [--shed-queue-depth N] [--slo-p99-ms N]
 //              [--default-deadline-ms N] [--cache-capacity N]
 //              [--coarsen-mode dense|topk|auto] [--topk K]
-//              [--precision fp32|bf16|int8] [--max-connections N]
+//              [--precision fp32|int8] [--max-connections N]
 //              [--idle-timeout-ms N] [--access-log path]
 //
 // --port 0 (the default) asks the kernel for a port; --port-file writes
@@ -53,7 +53,7 @@ constexpr char kUsage[] =
     "                  [--slo-p99-ms N] [--default-deadline-ms N]\n"
     "                  [--cache-capacity N]\n"
     "                  [--coarsen-mode dense|topk|auto] [--topk K]\n"
-    "                  [--precision fp32|bf16|int8] [--max-connections N]\n"
+    "                  [--precision fp32|int8] [--max-connections N]\n"
     "                  [--idle-timeout-ms N] [--access-log path]\n";
 
 template <typename T>
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   const std::string precision_text = flags.GetString("precision", "fp32");
   Precision precision = Precision::kFp32;
   if (!ParsePrecision(precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16|int8)\n%s",
+    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n%s",
                  precision_text.c_str(), kUsage);
     return 2;
   }

@@ -91,7 +91,7 @@ runs = doc["runs"]
 assert len(runs) == 4 and all("throughput_qps" in r for r in runs)
 assert doc["speedup_batch16_vs_batch1"] > 0
 parity = {p["precision"]: p for p in doc["precision_parity"]}
-assert set(parity) == {"fp32", "bf16", "int8"}, parity
+assert set(parity) == {"fp32", "int8"}, parity
 assert doc["parity_pass"] and doc["parity_min_agreement"] >= 0.99, (
     f"precision parity below 99%: {parity}")
 print(f"serve bench OK: batched speedup "
@@ -358,17 +358,20 @@ network_pass
 
 # --- Kernel pass (docs/PERFORMANCE.md) ----------------------------------
 # The blocked MatMul micro-kernels must stay bit-identical to the naive
-# reference under every dispatch override, and the committed kernel bench
-# JSON must exist and clear its acceptance speedup. The same parity suite
-# also runs under address,undefined in the sanitized ctest pass below.
+# reference under every dispatch override, the golden training
+# trajectories in parallel_train_test must hold under each of them, and
+# the committed kernel bench JSON must exist and clear its acceptance
+# speedup. The same parity suites also run under address,undefined in the
+# sanitized ctest pass below.
 kernel_pass() {
   echo "=== build: kernel parity + bench gate ==="
   for kernel in naive blocked auto; do
     HAP_MATMUL_KERNEL=$kernel ./build/tests/ops_test \
       --gtest_filter='MatMulKernelParity*' > /dev/null
     HAP_MATMUL_KERNEL=$kernel ./build/tests/sparse_parity_test > /dev/null
+    HAP_MATMUL_KERNEL=$kernel ./build/tests/parallel_train_test > /dev/null
   done
-  echo "kernel parity holds under naive/blocked/auto dispatch"
+  echo "kernel parity and golden trajectories hold under naive/blocked/auto dispatch"
   ./build/tests/arena_test > /dev/null
   echo "arena steady state allocation-free"
   python3 - <<'EOF'
@@ -456,8 +459,8 @@ sparse_coarsen_pass
 
 # --- Quantization pass (docs/PERFORMANCE.md) ----------------------------
 # Reduced-precision serving must clear its accuracy gates live: a fast
-# bench_quantized_gemm run exercises the int8/bf16 GEMM family end to end
-# (per-shape sweep + serve replay at all three precisions) and exits
+# bench_quantized_gemm run exercises the int8 GEMM family end to end
+# (per-shape sweep + serve replay at both precisions) and exits
 # non-zero unless classification agreement >= 99% and similarity-ranking
 # Kendall-tau >= 0.98 hold vs fp32. The quant unit suite re-runs under
 # every MatMul dispatch override (it also runs plain and sanitized in the
@@ -480,9 +483,9 @@ doc = json.load(open("BENCH_quantized_gemm.json"))
 assert doc["accuracy_gates_pass"], (
     "committed quantized bench recorded failed accuracy gates")
 serve = {s["precision"]: s for s in doc["serve"]}
-for p in ("bf16", "int8"):
-    assert serve[p]["agreement_vs_fp32"] >= 0.99, serve[p]
-    assert serve[p]["kendall_tau_vs_fp32"] >= 0.98, serve[p]
+assert set(serve) == {"fp32", "int8"}, serve
+assert serve["int8"]["agreement_vs_fp32"] >= 0.99, serve["int8"]
+assert serve["int8"]["kendall_tau_vs_fp32"] >= 0.98, serve["int8"]
 assert doc["meets_1p5x_e2e"] and doc["e2e_speedup_int8_vs_fp32"] >= 1.5, (
     f"committed int8 serve speedup "
     f"{doc['e2e_speedup_int8_vs_fp32']:.2f}x < 1.5x vs fp32")

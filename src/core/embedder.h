@@ -44,9 +44,6 @@ class GraphEmbedder : public Module {
   /// Number of embeddings EmbedLevels returns (1 for flat embedders).
   virtual int NumLevels() const { return 1; }
 
-  /// Toggles training-only stochasticity (Gumbel noise in HAP).
-  virtual void set_training(bool training) { (void)training; }
-
   /// Selects how hierarchical coarseners compute A' = MᵀAM (docs/
   /// SPARSE.md); flat embedders have no coarsening step and ignore it.
   virtual void set_coarsen_mode(CoarsenMode mode, int topk = 0) {

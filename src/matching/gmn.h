@@ -48,7 +48,7 @@ class GmnModel : public Module {
   }
 
   void CollectParameters(std::vector<Tensor>* out) const override;
-  void set_training(bool training);
+  void set_training(bool training) override;
   int embedding_dim() const { return config_.hidden_dim; }
 
  private:

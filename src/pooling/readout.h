@@ -110,10 +110,6 @@ class Coarsener : public Module {
     return Forward(h, GraphLevel(adjacency));
   }
 
-  /// Toggles training-only stochasticity (HAP's Gumbel soft sampling);
-  /// deterministic coarseners ignore it.
-  virtual void set_training(bool training) { (void)training; }
-
   /// Selects how A' = MᵀAM is computed (docs/SPARSE.md). `topk` is the
   /// per-row assignment budget for the sparse path; values < 1 keep the
   /// coarsener's configured budget. Coarseners without a sparse path

@@ -63,7 +63,7 @@ struct EngineConfig {
   /// Forward-pass precision for lane compute (tensor/quant.h). Installed
   /// as a PrecisionScope on each lane's pool thread per batch; int8 picks
   /// up the served model's pre-quantized lane scales automatically. The
-  /// fp32 default keeps every forward bit-deterministic; bf16/int8 trade
+  /// fp32 default keeps every forward bit-deterministic; int8 trades
   /// bounded rounding error for throughput (docs/PERFORMANCE.md).
   Precision precision = Precision::kFp32;
 };

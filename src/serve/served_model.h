@@ -87,7 +87,7 @@ class ServedModel {
   /// The precision this model was prepared for at load time.
   Precision precision() const { return config_.precision; }
   /// Pre-quantized weight panels for lane `lane`, or nullptr when the
-  /// model was prepared at fp32/bf16 (no scales needed). Callers install
+  /// model was prepared at fp32 (no scales needed). Callers install
   /// these via PrecisionScope on the thread running the lane forward.
   const QuantScales* lane_scales(int lane) const;
   /// The index-keyed scale entries backing lane_scales (for inspection

@@ -501,32 +501,6 @@ __attribute__((target("avx2"))) void QuantizeSymmetricAvx2(
   }
 }
 
-__attribute__((target("avx2"))) void TruncateBf16Avx2(const float* src,
-                                                      float* dst,
-                                                      int64_t count) {
-  const __m256i bias = _mm256_set1_epi32(0x7FFF);
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i mask = _mm256_set1_epi32(
-      static_cast<int32_t>(0xFFFF0000u));
-  int64_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    __m256i u = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(src + i));
-    const __m256i lsb =
-        _mm256_and_si256(_mm256_srli_epi32(u, 16), one);
-    u = _mm256_add_epi32(u, _mm256_add_epi32(bias, lsb));
-    u = _mm256_and_si256(u, mask);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), u);
-  }
-  for (; i < count; ++i) {
-    uint32_t u;
-    std::memcpy(&u, src + i, sizeof(u));
-    u += 0x7FFFu + ((u >> 16) & 1u);
-    u &= 0xFFFF0000u;
-    std::memcpy(dst + i, &u, sizeof(u));
-  }
-}
-
 #endif  // HAP_KERNELS_X86
 
 void Int8GemmRowsScalar(const int16_t* aq, const int16_t* bq, float* out,
@@ -562,7 +536,6 @@ void Int8GemmRowsScalar(const int16_t* aq, const int16_t* bq, float* out,
 // packed operands simultaneously.
 struct QuantScratch {
   std::vector<int16_t> a8, b8, bt;
-  std::vector<float> fa, fb;
 
   template <typename T>
   static T* Get(std::vector<T>* buffer, size_t count) {
@@ -900,22 +873,6 @@ void Int8GemmRows(const int16_t* aq, const int16_t* bq, float* out,
   Int8GemmRowsScalar(aq, bq, out, k_pad, n, scale, bias, leaky_alpha, i0, i1);
 }
 
-void TruncateBf16(const float* src, float* dst, int64_t count) {
-#if HAP_KERNELS_X86
-  if (CpuHasAvx2()) {
-    TruncateBf16Avx2(src, dst, count);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < count; ++i) {
-    uint32_t u;
-    std::memcpy(&u, src + i, sizeof(u));
-    u += 0x7FFFu + ((u >> 16) & 1u);  // round to nearest even bf16
-    u &= 0xFFFF0000u;
-    std::memcpy(dst + i, &u, sizeof(u));
-  }
-}
-
 bool ShapeWantsInt8(int64_t m, int64_t k, int64_t n) {
   // Quantize+pack costs O(m·k + k·n) and the fp32 blocked kernels are
   // already strong at small shapes; int8 needs enough depth per dot and
@@ -928,12 +885,6 @@ int16_t* Int8ScratchA(size_t count) {
 }
 int16_t* Int8ScratchB(size_t count) {
   return QuantScratch::Get(&QScratch().b8, count);
-}
-float* FloatScratchA(size_t count) {
-  return QuantScratch::Get(&QScratch().fa, count);
-}
-float* FloatScratchB(size_t count) {
-  return QuantScratch::Get(&QScratch().fb, count);
 }
 
 }  // namespace hap::kernels

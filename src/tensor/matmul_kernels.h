@@ -110,10 +110,9 @@ void BlockedGradBRows(const float* a, const float* g, float* gb, int64_t m,
 //
 // These are explicitly OUTSIDE the bit-determinism contract above: int8
 // quantizes both operands (symmetric per-tensor, scale = absmax/127) and
-// accumulates exact i32 dot products with an fp32 dequant epilogue; bf16
-// truncates both operands round-to-nearest-even to bfloat16 and then runs
-// the ordinary fp32 kernels (fp32 accumulation). Training never reaches
-// them: ops.cc refuses the quantized paths on any taped tensor.
+// accumulates exact i32 dot products with an fp32 dequant epilogue.
+// Training never reaches them: ops.cc refuses the quantized paths on any
+// taped tensor.
 //
 // int8 layout: A is packed as m rows of k zero-padded up to a multiple
 // of kInt8KPack. B is packed into COLUMN-GROUP PANELS: ceil(n/8) groups
@@ -180,10 +179,6 @@ void Int8GemmRows(const int16_t* aq, const int16_t* bq, float* out,
                   int64_t k_pad, int64_t n, float scale, const float* bias,
                   float leaky_alpha, int64_t i0, int64_t i1);
 
-// dst[i] = round_to_nearest_even_bf16(src[i]) widened back to fp32
-// (low 16 mantissa bits zero). src == dst is allowed.
-void TruncateBf16(const float* src, float* dst, int64_t count);
-
 // Shape heuristic for the int8 path: quantizing/packing costs O(m·k + k·n)
 // and only amortises over enough dot-product work; small shapes stay on
 // the (often already faster) fp32 kernels. Deterministic in shape only.
@@ -195,8 +190,6 @@ bool ShapeWantsInt8(int64_t m, int64_t k, int64_t n);
 // distinct so one GEMM can hold both operands packed at once.
 int16_t* Int8ScratchA(size_t count);
 int16_t* Int8ScratchB(size_t count);
-float* FloatScratchA(size_t count);
-float* FloatScratchB(size_t count);
 
 }  // namespace hap::kernels
 

@@ -27,6 +27,11 @@ class Module {
   /// thread count. Deterministic modules ignore it.
   virtual void ReseedNoise(uint64_t seed) { (void)seed; }
 
+  /// Toggles training-only stochasticity (Gumbel soft sampling in HAP).
+  /// The training loop switches every replica on before each epoch and
+  /// the master off before evaluation. Deterministic modules ignore it.
+  virtual void set_training(bool training) { (void)training; }
+
   /// Convenience: all parameters as a fresh vector.
   std::vector<Tensor> Parameters() const {
     std::vector<Tensor> params;

@@ -15,7 +15,7 @@ namespace hap {
 /// Matrix product A(m,k) * B(k,n) -> (m,n).
 ///
 /// Eval-only reduced precision: under a non-fp32 PrecisionScope
-/// (tensor/quant.h) the forward dispatches the int8 or bf16 kernel
+/// (tensor/quant.h) the forward dispatches the int8 kernel
 /// family instead (shape permitting) and HAP_CHECK-fails if the result
 /// would be taped — training always runs the bit-deterministic fp32
 /// kernels. While a CalibrationObserver is installed, activation·weight

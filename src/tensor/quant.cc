@@ -20,10 +20,6 @@ bool ParsePrecision(const std::string& text, Precision* out) {
     *out = Precision::kFp32;
     return true;
   }
-  if (text == "bf16") {
-    *out = Precision::kBf16;
-    return true;
-  }
   if (text == "int8") {
     *out = Precision::kInt8;
     return true;
@@ -35,8 +31,6 @@ const char* PrecisionName(Precision precision) {
   switch (precision) {
     case Precision::kFp32:
       return "fp32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }

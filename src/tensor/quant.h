@@ -4,7 +4,7 @@
 // installs around each lane forward.
 //
 // Design (docs/PERFORMANCE.md "Reduced-precision inference"):
-//  * Precision{fp32,bf16,int8} selects the MatMul forward kernel family
+//  * Precision{fp32,int8} selects the MatMul forward kernel family
 //    for the *current thread* via the RAII PrecisionScope. No scope (or a
 //    fp32 scope) means the existing bit-deterministic kernels — training
 //    and every parity test are untouched by construction.
@@ -35,16 +35,14 @@
 namespace hap {
 
 /// Forward-pass numeric precision for eval-only code. fp32 is the
-/// bit-deterministic default; bf16 truncates both GEMM operands to
-/// bfloat16 (fp32 accumulation) as the low-risk fallback; int8 runs
-/// symmetric per-tensor quantized GEMMs with an fp32 dequant epilogue.
+/// bit-deterministic default; int8 runs symmetric per-tensor quantized
+/// GEMMs with an fp32 dequant epilogue.
 enum class Precision {
   kFp32 = 0,
-  kBf16,
   kInt8,
 };
 
-/// Parses "fp32" / "bf16" / "int8". Returns false on anything else.
+/// Parses "fp32" / "int8". Returns false on anything else.
 bool ParsePrecision(const std::string& text, Precision* out);
 
 /// Short lowercase name, the inverse of ParsePrecision.

@@ -12,15 +12,18 @@
 
 namespace hap {
 
-/// Shared trainer knobs. Defaults follow Sec. 6.1.3 (Adam, lr 0.01 for
+/// Knobs of the one training loop every trainer runs (RunTrainLoop,
+/// train/train_loop.h). Defaults follow Sec. 6.1.3 (Adam, lr 0.01 for
 /// classification) scaled to the synthetic corpora.
 struct TrainConfig {
   int epochs = 30;
   float lr = 0.01f;
   int batch_size = 8;
   double clip_norm = 5.0;
-  /// Early stopping patience in epochs of no validation improvement;
-  /// <= 0 disables early stopping.
+  /// Early stopping: training ends `patience` epochs after the last
+  /// improvement of the task's selection metric (validation accuracy for
+  /// classification and matching, training triplet accuracy for the
+  /// similarity tasks); <= 0 disables early stopping.
   int patience = 10;
   uint64_t seed = 17;
   bool verbose = false;
@@ -34,21 +37,18 @@ struct TrainConfig {
   /// distance alone instead of the hierarchical multi-level loss of
   /// Sec. 4.5 — the "hierarchical vs final-only" ablation of DESIGN.md.
   bool final_level_only = false;
-  /// Data-parallel worker count for mini-batch training. 0 (the default)
-  /// keeps the legacy single-threaded loop, bit-identical to earlier
-  /// releases. Any value >= 1 switches to the deterministic data-parallel
-  /// runner (see docs/THREADING.md): the training trajectory is then
-  /// bit-identical for EVERY num_threads >= 1 given the same seed, so
-  /// `1` is the single-threaded reference of the parallel semantics and
-  /// larger values only change wall-clock time. Values above 1 require a
-  /// replica factory (see TrainClassifier / TrainMatcher /
+  /// Data-parallel worker count of the deterministic runner (see
+  /// docs/THREADING.md). The training trajectory is bit-identical for
+  /// every value given the same seed; 0 (the default) and 1 both mean one
+  /// worker, and larger values only change wall-clock time. Values above
+  /// 1 require a replica factory (see the TrainClassifier / TrainMatcher /
   /// TrainSimilarity overloads).
   int num_threads = 0;
   /// Run each worker's slice of the batch as ONE batched tape (segment
-  /// ops; docs/BATCHING.md) instead of one tape per example. Requires
-  /// num_threads >= 1 and a model whose SupportsBatched() is true
-  /// (otherwise the per-example path runs). Bit-identical trajectories to
-  /// the per-example path for the same seed and any num_threads.
+  /// ops; docs/BATCHING.md) instead of one tape per example. Applies to
+  /// classifiers whose SupportsBatched() is true (otherwise the
+  /// per-example path runs). Bit-identical trajectories to the
+  /// per-example path for the same seed and any num_threads.
   bool batched_forward = false;
 };
 
@@ -92,7 +92,9 @@ class GraphClassifier : public Module {
                        const std::vector<uint64_t>& noise_seeds) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
-  void set_training(bool training) { embedder_->set_training(training); }
+  void set_training(bool training) override {
+    embedder_->set_training(training);
+  }
   /// Passthrough to the embedder's coarsening-mode switch (docs/SPARSE.md).
   void set_coarsen_mode(CoarsenMode mode, int topk = 0) {
     embedder_->set_coarsen_mode(mode, topk);
@@ -139,8 +141,8 @@ ClassificationResult TrainClassifier(GraphClassifier* model,
 
 /// Data-parallel variant: when config.num_threads > 1, `replica_factory`
 /// supplies the extra model replicas the worker threads train on (the
-/// master model itself serves as replica 0). Identical results to
-/// num_threads = 1 for the same seed — see docs/THREADING.md.
+/// master model itself serves as replica 0). Identical results to any
+/// other num_threads for the same seed — see docs/THREADING.md.
 ClassificationResult TrainClassifier(GraphClassifier* model,
                                      const std::vector<PreparedGraph>& data,
                                      const Split& split,

@@ -21,8 +21,6 @@ class PairScorer : public Module {
   /// One (1,1) Euclidean distance per hierarchy level, coarsest last.
   virtual std::vector<Tensor> PairDistances(const PreparedGraph& a,
                                             const PreparedGraph& b) const = 0;
-
-  virtual void set_training(bool training) { (void)training; }
 };
 
 /// Embeds each side independently with a shared GraphEmbedder and measures

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <memory>
+#include <numeric>
 
 #include "common/check.h"
 #include "ged/ged.h"
-#include "obs/metrics.h"
-#include "obs/run_logger.h"
-#include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
-#include "train/parallel_batch.h"
+#include "train/train_loop.h"
 
 namespace hap {
 
@@ -130,146 +125,32 @@ SimilarityTrainResult TrainSimilarity(
     const std::vector<GraphTriplet>& train_triplets,
     const std::vector<GraphTriplet>& test_triplets, const TrainConfig& config,
     const std::function<std::unique_ptr<PairScorer>()>& replica_factory) {
-  Rng rng(config.seed);
-  Adam optimizer(scorer->Parameters(), config.lr);
-  std::vector<int> order(train_triplets.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  SimilarityTrainResult result;
-  double best_train = -1.0;
-
-  const bool data_parallel = config.num_threads >= 1;
-  std::vector<std::unique_ptr<PairScorer>> replica_storage;
-  std::vector<PairScorer*> scorers = {scorer};
   // All workers score against the shared pool directly: backward never
   // touches gradient-free leaves (the needs-grad guards in ops.cc skip
   // them), so concurrent triplets referencing the same pool graph — and
   // its cached GraphLevel operators — are read-only and race-free.
-  std::unique_ptr<ParallelBatchRunner> runner;
-  Rng noise_seeds(config.seed * 0x9e3779b97f4a7c15ull + 0x51ab5eedull);
-  if (data_parallel) {
-    for (int w = 1; w < config.num_threads; ++w) {
-      HAP_CHECK(replica_factory != nullptr)
-          << "TrainSimilarity: num_threads > 1 needs a replica factory";
-      replica_storage.push_back(replica_factory());
-      scorers.push_back(replica_storage.back().get());
-    }
-    std::vector<std::vector<Tensor>> replica_params;
-    replica_params.reserve(scorers.size());
-    for (PairScorer* s : scorers) replica_params.push_back(s->Parameters());
-    runner = std::make_unique<ParallelBatchRunner>(scorer->Parameters(),
-                                                   std::move(replica_params));
-  }
-
-  obs::RunLogger logger(config.verbose, config.log_path);
-  obs::RunCounters counters_prev = obs::ReadRunCounters();
-
-  // Step-scoped tensor memory (docs/PERFORMANCE.md): tape/eval/grad
-  // buffers on this thread cycle through this pool (workers use the
-  // runner's per-worker arenas); ResetStep marks optimizer-step
-  // boundaries for the mem.* metrics.
-  auto arena = std::make_shared<TensorArena>();
-  ArenaScope arena_scope(arena);
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    HAP_TRACE_SCOPE("train.epoch");
-    const uint64_t epoch_start_ns = obs::MonotonicNs();
-    for (PairScorer* s : scorers) s->set_training(true);
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int optimizer_steps = 0;
-    {
-      HAP_TRACE_SCOPE("epoch.train");
-      if (data_parallel) {
-        for (size_t start = 0; start < order.size();
-             start += static_cast<size_t>(config.batch_size)) {
-          const size_t stop = std::min(
-              order.size(), start + static_cast<size_t>(config.batch_size));
-          const std::vector<int> batch(order.begin() + start,
-                                       order.begin() + stop);
-          epoch_loss += runner->RunBatch(
-              batch, noise_seeds.NextU64(), 1.0f / config.batch_size,
-              [&](int worker, uint64_t seed) {
-                scorers[worker]->ReseedNoise(seed);
-              },
-              [&](int worker, int item) {
-                return TripletLoss(scorers[worker], pool, train_triplets[item],
-                                   config.final_level_only);
-              });
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-          runner->ResetStep();
-        }
-      } else {
-        int in_batch = 0;
-        for (int index : order) {
-          Tensor loss = TripletLoss(scorer, pool, train_triplets[index],
-                                    config.final_level_only);
-          epoch_loss += loss.Item();
-          // Mean-of-batch gradient (see classifier.cc).
-          MulScalar(loss, 1.0f / config.batch_size).Backward();
-          if (++in_batch >= config.batch_size) {
-            grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-            ++optimizer_steps;
-            optimizer.Step();
-            arena->ResetStep();
-            in_batch = 0;
-          }
-        }
-        if (in_batch > 0) {
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-        }
-      }
-    }
-    const uint64_t train_end_ns = obs::MonotonicNs();
-    const double mean_loss =
-        epoch_loss / std::max<size_t>(order.size(), 1);
-    result.epoch_losses.push_back(mean_loss);
-    scorer->set_training(false);
-    double train_acc = 0.0;
-    {
-      HAP_TRACE_SCOPE("epoch.eval");
-      train_acc = EvaluateTripletScorer(*scorer, pool, train_triplets);
-      if (train_acc > best_train) {
-        best_train = train_acc;
-        result.best_epoch = epoch;
-        result.train_accuracy = train_acc;
-        result.test_accuracy =
-            EvaluateTripletScorer(*scorer, pool, test_triplets);
-      }
-    }
-    if (logger.enabled()) {
-      const uint64_t end_ns = obs::MonotonicNs();
-      const obs::RunCounters counters_now = obs::ReadRunCounters();
-      const obs::RunCounters delta = counters_now.DeltaSince(counters_prev);
-      counters_prev = counters_now;
-      obs::JsonRecord record;
-      record.Add("task", "similarity")
-          .Add("epoch", epoch)
-          .Add("train_loss", mean_loss)
-          .Add("train_triplet_accuracy", train_acc)
-          .Add("grad_norm",
-               optimizer_steps > 0 ? grad_norm_sum / optimizer_steps : 0.0)
-          .Add("train_s", (train_end_ns - epoch_start_ns) / 1e9)
-          .Add("eval_s", (end_ns - train_end_ns) / 1e9)
-          .Add("epoch_s", (end_ns - epoch_start_ns) / 1e9)
-          .Add("matmul_calls", delta.matmul_calls)
-          .Add("spmatmul_calls", delta.spmatmul_calls)
-          .Add("dispatch_dense", delta.dispatch_dense)
-          .Add("dispatch_sparse", delta.dispatch_sparse)
-          .Add("cache_hits", delta.cache_hits)
-          .Add("cache_misses", delta.cache_misses);
-      char line[96];
-      std::snprintf(line, sizeof(line), "epoch %d train-triplet-acc %.4f",
-                    epoch, train_acc);
-      logger.Log(record, line);
-    }
-  }
+  const Replicas<PairScorer> replicas(scorer, config, replica_factory);
+  SimilarityTrainResult result;
+  TrainTask task;
+  task.name = "similarity";
+  task.metric_key = "train_triplet_accuracy";
+  task.models = replicas.modules();
+  task.items.resize(train_triplets.size());
+  std::iota(task.items.begin(), task.items.end(), 0);
+  task.loss = [&](int worker, int item) {
+    return TripletLoss(replicas[worker], pool, train_triplets[item],
+                       config.final_level_only);
+  };
+  task.metric = [&] {
+    return EvaluateTripletScorer(*scorer, pool, train_triplets);
+  };
+  task.on_best = [&](double train_acc) {
+    result.train_accuracy = train_acc;
+    result.test_accuracy = EvaluateTripletScorer(*scorer, pool, test_triplets);
+  };
+  TrainLoopResult loop = RunTrainLoop(config, task);
+  result.best_epoch = loop.best_epoch;
+  result.epoch_losses = std::move(loop.epoch_losses);
   return result;
 }
 
@@ -279,8 +160,6 @@ SimilarityTrainResult TrainSimGnn(
     const std::vector<GraphTriplet>& train_triplets,
     const std::vector<GraphTriplet>& test_triplets,
     const TrainConfig& config) {
-  Rng rng(config.seed);
-  Adam optimizer(model->Parameters(), config.lr);
   // Mean GED normaliser for the similarity target exp(-ged/mean).
   double mean_ged = 0.0;
   int pairs = 0;
@@ -291,13 +170,10 @@ SimilarityTrainResult TrainSimGnn(
     }
   }
   mean_ged = pairs > 0 ? mean_ged / pairs : 1.0;
-  const int n = static_cast<int>(pool.size());
 
   auto predict = [&](int i, int j) {
-    return model
-        ->PredictSimilarity(pool[i].h, pool[i].adjacency, pool[j].h,
-                            pool[j].adjacency)
-        .Item();
+    return model->PredictSimilarity(pool[i].h, pool[i].adjacency, pool[j].h,
+                                    pool[j].adjacency);
   };
   auto triplet_accuracy = [&](const std::vector<GraphTriplet>& triplets) {
     NoGradGuard guard;
@@ -305,7 +181,8 @@ SimilarityTrainResult TrainSimGnn(
     int correct = 0;
     for (const GraphTriplet& t : triplets) {
       // Higher similarity = smaller GED.
-      const double relative = predict(t.a, t.c) - predict(t.a, t.b);
+      const double relative =
+          predict(t.a, t.c).Item() - predict(t.a, t.b).Item();
       if ((relative > 0.0) == (t.relative_ged > 0.0)) ++correct;
     }
     return static_cast<double>(correct) / triplets.size();
@@ -320,90 +197,30 @@ SimilarityTrainResult TrainSimGnn(
     train_pairs.emplace_back(t.a, t.c);
   }
   HAP_CHECK(!train_pairs.empty());
-  (void)n;
   SimilarityTrainResult result;
-  double best_train = -1.0;
-  const int pairs_per_epoch =
-      std::max<int>(32, static_cast<int>(train_pairs.size()));
-  obs::RunLogger logger(config.verbose, config.log_path);
-  obs::RunCounters counters_prev = obs::ReadRunCounters();
-  // Step-scoped tensor memory (docs/PERFORMANCE.md).
-  auto arena = std::make_shared<TensorArena>();
-  ArenaScope arena_scope(arena);
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    HAP_TRACE_SCOPE("train.epoch");
-    const uint64_t epoch_start_ns = obs::MonotonicNs();
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int optimizer_steps = 0;
-    int in_batch = 0;
-    {
-      HAP_TRACE_SCOPE("epoch.train");
-      for (int step = 0; step < pairs_per_epoch; ++step) {
-        const auto [i, j] =
-            train_pairs[rng.UniformInt(static_cast<int>(train_pairs.size()))];
-        const float target = static_cast<float>(
-            std::exp(-exact_ged[i][j] / std::max(mean_ged, 1e-9)));
-        Tensor predicted = model->PredictSimilarity(
-            pool[i].h, pool[i].adjacency, pool[j].h, pool[j].adjacency);
-        Tensor loss = Square(AddScalar(predicted, -target));
-        epoch_loss += loss.Item();
-        // Mean-of-batch gradient (see classifier.cc).
-        MulScalar(loss, 1.0f / config.batch_size).Backward();
-        if (++in_batch >= config.batch_size) {
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-          in_batch = 0;
-        }
-      }
-      if (in_batch > 0) {
-        grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-        ++optimizer_steps;
-        optimizer.Step();
-        arena->ResetStep();
-      }
-    }
-    const uint64_t train_end_ns = obs::MonotonicNs();
-    double train_acc = 0.0;
-    {
-      HAP_TRACE_SCOPE("epoch.eval");
-      train_acc = triplet_accuracy(train_triplets);
-      if (train_acc > best_train) {
-        best_train = train_acc;
-        result.best_epoch = epoch;
-        result.train_accuracy = train_acc;
-        result.test_accuracy = triplet_accuracy(test_triplets);
-      }
-    }
-    if (logger.enabled()) {
-      const uint64_t end_ns = obs::MonotonicNs();
-      const obs::RunCounters counters_now = obs::ReadRunCounters();
-      const obs::RunCounters delta = counters_now.DeltaSince(counters_prev);
-      counters_prev = counters_now;
-      obs::JsonRecord record;
-      record.Add("task", "simgnn")
-          .Add("epoch", epoch)
-          .Add("train_loss", epoch_loss / pairs_per_epoch)
-          .Add("train_triplet_accuracy", train_acc)
-          .Add("grad_norm",
-               optimizer_steps > 0 ? grad_norm_sum / optimizer_steps : 0.0)
-          .Add("train_s", (train_end_ns - epoch_start_ns) / 1e9)
-          .Add("eval_s", (end_ns - train_end_ns) / 1e9)
-          .Add("epoch_s", (end_ns - epoch_start_ns) / 1e9)
-          .Add("matmul_calls", delta.matmul_calls)
-          .Add("spmatmul_calls", delta.spmatmul_calls)
-          .Add("dispatch_dense", delta.dispatch_dense)
-          .Add("dispatch_sparse", delta.dispatch_sparse)
-          .Add("cache_hits", delta.cache_hits)
-          .Add("cache_misses", delta.cache_misses);
-      char line[96];
-      std::snprintf(line, sizeof(line),
-                    "simgnn epoch %d train-triplet-acc %.4f", epoch, train_acc);
-      logger.Log(record, line);
-    }
-  }
+  TrainTask task;
+  task.name = "simgnn";
+  task.metric_key = "train_triplet_accuracy";
+  // SimGNN has no replica factory: it trains on the master alone, which
+  // gives the same trajectory as any replica count would.
+  task.models = {model};
+  task.items.resize(train_pairs.size());
+  std::iota(task.items.begin(), task.items.end(), 0);
+  task.draws_per_epoch = std::max<int>(32, static_cast<int>(train_pairs.size()));
+  task.loss = [&](int, int item) {
+    const auto [i, j] = train_pairs[item];
+    const float target = static_cast<float>(
+        std::exp(-exact_ged[i][j] / std::max(mean_ged, 1e-9)));
+    return Square(AddScalar(predict(i, j), -target));
+  };
+  task.metric = [&] { return triplet_accuracy(train_triplets); };
+  task.on_best = [&](double train_acc) {
+    result.train_accuracy = train_acc;
+    result.test_accuracy = triplet_accuracy(test_triplets);
+  };
+  TrainLoopResult loop = RunTrainLoop(config, task);
+  result.best_epoch = loop.best_epoch;
+  result.epoch_losses = std::move(loop.epoch_losses);
   return result;
 }
 

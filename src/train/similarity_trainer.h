@@ -65,7 +65,8 @@ struct SimilarityTrainResult {
 };
 
 /// Trains an embedding model on training triplets with Eq. 24 and reports
-/// triplet ordering accuracy.
+/// triplet ordering accuracy. The best epoch (and early stopping) follows
+/// the training-triplet accuracy.
 SimilarityTrainResult TrainSimilarity(
     PairScorer* scorer, const std::vector<PreparedGraph>& pool,
     const std::vector<GraphTriplet>& train_triplets,
@@ -73,9 +74,8 @@ SimilarityTrainResult TrainSimilarity(
 
 /// Data-parallel variant: config.num_threads > 1 requires `replica_factory`
 /// (ScorerFactory from matching_trainer.h; the master scorer is replica 0).
-/// Each worker also gets a private copy of the featurised pool, because
-/// triplets in one batch may share pool graphs and backward accumulates
-/// into the shared input tensors. Deterministic for any thread count.
+/// Workers share the featurised pool read-only. Deterministic for any
+/// thread count.
 SimilarityTrainResult TrainSimilarity(
     PairScorer* scorer, const std::vector<PreparedGraph>& pool,
     const std::vector<GraphTriplet>& train_triplets,
@@ -84,7 +84,9 @@ SimilarityTrainResult TrainSimilarity(
 
 /// Trains SimGNN on *pair* similarities exp(-GED(a,b)/mean_ged) with MSE
 /// (its original absolute-similarity objective), then evaluates it on the
-/// triplets by comparing predicted similarities.
+/// triplets by comparing predicted similarities. Each epoch draws
+/// max(32, 2·|train_triplets|) pairs with replacement; training runs on
+/// one worker whatever config.num_threads says (same trajectory).
 SimilarityTrainResult TrainSimGnn(
     SimGnnModel* model, const std::vector<PreparedGraph>& pool,
     const std::vector<std::vector<double>>& exact_ged,

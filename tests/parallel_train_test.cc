@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -173,6 +175,94 @@ TEST(ParallelTrainTest, SimilarityTrajectoryIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(one.train_accuracy, three.train_accuracy);
   EXPECT_EQ(one.test_accuracy, three.test_accuracy);
+}
+
+// --- Golden trajectories: exact epoch losses and accuracies of short runs,
+// --- written as hex floats. The trajectory at every num_threads is a
+// --- contract (docs/THREADING.md), so a change to the training loop, the
+// --- runner's reduction order or a kernel's association that moves one
+// --- bit fails here. The values also pin the 2-thread batched classifier
+// --- path that perfbench's train_hap workload mirrors step for step. A
+// --- failure prints the new value as a hex float.
+
+std::string Hex(double value) {
+  char text[40];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
+}
+
+void ExpectExactTrajectory(const std::vector<double>& losses,
+                           const std::vector<double>& expected) {
+  ASSERT_EQ(losses.size(), expected.size());
+  for (size_t e = 0; e < losses.size(); ++e) {
+    EXPECT_EQ(losses[e], expected[e])
+        << "epoch " << e << " loss is " << Hex(losses[e]);
+  }
+}
+
+ClassificationResult TrainSmallClassifierBatched(int num_threads) {
+  Rng rng(21);
+  GraphDataset ds = MakeImdbBinaryLike(24, &rng);
+  auto data = PrepareDataset(ds);
+  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
+  const HapConfig config = SmallModelConfig(ds.feature_spec.FeatureDim());
+  Rng model_rng(77);
+  GraphClassifier model(MakeHapModel(config, &model_rng), ds.num_classes, 12,
+                        &model_rng);
+  EXPECT_TRUE(model.SupportsBatched());
+  auto factory = [&config, &ds]() {
+    Rng replica_rng(1);
+    return std::make_unique<GraphClassifier>(MakeHapModel(config, &replica_rng),
+                                             ds.num_classes, 12, &replica_rng);
+  };
+  TrainConfig tc = ShortTraining(num_threads);
+  tc.batched_forward = true;
+  return TrainClassifier(&model, data, split, tc, factory);
+}
+
+MatchingTrainResult TrainSmallMatcher() {
+  Rng rng(41);
+  auto pairs = MakeMatchingPairs(24, 10, &rng);
+  FeatureSpec spec{FeatureKind::kRelativeDegreeBuckets, 12, 0};
+  auto data = PreparePairs(pairs, spec);
+  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
+  Rng model_rng(43);
+  EmbedderPairScorer scorer(MakeHapModel(SmallModelConfig(12), &model_rng));
+  return TrainMatcher(&scorer, data, split, ShortTraining(1));
+}
+
+TEST(GoldenTrainTest, ClassifierOneThreadPerExample) {
+  ClassificationResult r = TrainSmallClassifier(1);
+  ExpectExactTrajectory(r.epoch_losses, {0x1.d9f3c850d7943p+0,
+                                         0x1.f6f3f70d79436p-2,
+                                         0x1.6456eb50d7943p-2});
+  EXPECT_EQ(r.val_accuracy, 0x1p+0) << Hex(r.val_accuracy);
+  EXPECT_EQ(r.test_accuracy, 0x1p+0) << Hex(r.test_accuracy);
+}
+
+TEST(GoldenTrainTest, ClassifierTwoThreadsBatched) {
+  ClassificationResult r = TrainSmallClassifierBatched(2);
+  ExpectExactTrajectory(r.epoch_losses, {0x1.d9f3c850d7943p+0,
+                                         0x1.f6f3f70d79436p-2,
+                                         0x1.6456eb50d7943p-2});
+  EXPECT_EQ(r.val_accuracy, 0x1p+0) << Hex(r.val_accuracy);
+  EXPECT_EQ(r.test_accuracy, 0x1p+0) << Hex(r.test_accuracy);
+}
+
+TEST(GoldenTrainTest, MatcherOneThread) {
+  MatchingTrainResult r = TrainSmallMatcher();
+  ExpectExactTrajectory(r.epoch_losses, {0x1.0877f2p+0, 0x1.9f218f0d79436p-1,
+                                         0x1.3702a1b5e50d8p-1});
+  EXPECT_EQ(r.val_accuracy, 0x0p+0) << Hex(r.val_accuracy);
+  EXPECT_EQ(r.test_accuracy, 0x1.5555555555555p-1) << Hex(r.test_accuracy);
+}
+
+TEST(GoldenTrainTest, SimilarityOneThread) {
+  SimilarityTrainResult r = TrainSmallSimilarity(1);
+  ExpectExactTrajectory(r.epoch_losses,
+                        {0x1.9f0ceadb55555p+3, 0x1.2b4df5ceaaaabp+3});
+  EXPECT_EQ(r.train_accuracy, 0x1.aaaaaaaaaaaabp-1) << Hex(r.train_accuracy);
+  EXPECT_EQ(r.test_accuracy, 0x1p+0) << Hex(r.test_accuracy);
 }
 
 }  // namespace

@@ -75,28 +75,6 @@ TEST(QuantKernelsTest, AbsMaxHandlesEmptyAndNegatives) {
   EXPECT_EQ(kernels::AbsMax(v, 3), 3.0f);
 }
 
-TEST(QuantKernelsTest, TruncateBf16RoundsToNearestEven) {
-  // Exactly representable values survive unchanged; every output has a
-  // zero low mantissa half.
-  const float src[] = {0.0f, 1.0f, -2.5f, 3.14159265f, 1e-20f, 1e20f};
-  float dst[6];
-  kernels::TruncateBf16(src, dst, 6);
-  EXPECT_EQ(dst[0], 0.0f);
-  EXPECT_EQ(dst[1], 1.0f);
-  EXPECT_EQ(dst[2], -2.5f);
-  for (float x : dst) {
-    uint32_t u;
-    std::memcpy(&u, &x, sizeof(u));
-    EXPECT_EQ(u & 0xFFFFu, 0u) << "low mantissa bits must be zero";
-  }
-  // bf16 keeps 8 mantissa bits: relative error <= 2^-8.
-  EXPECT_NEAR(dst[3], src[3], src[3] / 256.0f);
-  // In-place operation is allowed.
-  float inplace = 3.14159265f;
-  kernels::TruncateBf16(&inplace, &inplace, 1);
-  EXPECT_EQ(inplace, dst[3]);
-}
-
 TEST(QuantKernelsTest, Int8GemmMatchesReferenceAcrossShapes) {
   // Tile boundaries and degenerate shapes: m around the 1x4 kernel's
   // column panel, k around the 32-lane depth quantum, n around the
@@ -188,8 +166,8 @@ TEST(QuantOpsTest, ScopeDefaultsToFp32) {
     PrecisionScope outer(Precision::kInt8);
     EXPECT_EQ(PrecisionScope::Current(), Precision::kInt8);
     {
-      PrecisionScope inner(Precision::kBf16);
-      EXPECT_EQ(PrecisionScope::Current(), Precision::kBf16);
+      PrecisionScope inner(Precision::kFp32);
+      EXPECT_EQ(PrecisionScope::Current(), Precision::kFp32);
     }
     EXPECT_EQ(PrecisionScope::Current(), Precision::kInt8);
   }
@@ -198,15 +176,13 @@ TEST(QuantOpsTest, ScopeDefaultsToFp32) {
 
 TEST(QuantOpsTest, ParsePrecisionRoundTrips) {
   Precision p = Precision::kFp32;
-  EXPECT_TRUE(ParsePrecision("bf16", &p));
-  EXPECT_EQ(p, Precision::kBf16);
   EXPECT_TRUE(ParsePrecision("int8", &p));
   EXPECT_EQ(p, Precision::kInt8);
   EXPECT_TRUE(ParsePrecision("fp32", &p));
   EXPECT_EQ(p, Precision::kFp32);
   EXPECT_FALSE(ParsePrecision("fp16", &p));
+  EXPECT_FALSE(ParsePrecision("bf16", &p));
   EXPECT_STREQ(PrecisionName(Precision::kInt8), "int8");
-  EXPECT_STREQ(PrecisionName(Precision::kBf16), "bf16");
   EXPECT_STREQ(PrecisionName(Precision::kFp32), "fp32");
 }
 
@@ -222,24 +198,6 @@ TEST(QuantOpsTest, Int8MatMulBoundedErrorVsFp32) {
                                      a.cols());
   for (int i = 0; i < ref.size(); ++i) {
     ASSERT_NEAR(quant.data()[i], ref.data()[i], bound) << "flat " << i;
-  }
-}
-
-TEST(QuantOpsTest, Bf16MatMulEqualsFp32OnTruncatedOperands) {
-  Rng rng(8);
-  Tensor a = BigActivation(&rng);
-  Tensor b = BigWeight(&rng);
-  // The bf16 path is exactly: truncate both operands, then the ordinary
-  // fp32 kernels — so it must match that composition bit for bit.
-  Tensor ta = Tensor::Zeros(a.rows(), a.cols());
-  Tensor tb = Tensor::Zeros(b.rows(), b.cols());
-  kernels::TruncateBf16(a.data(), ta.mutable_data(), a.size());
-  kernels::TruncateBf16(b.data(), tb.mutable_data(), b.size());
-  Tensor ref = MatMul(ta, tb);
-  PrecisionScope scope(Precision::kBf16);
-  Tensor out = MatMul(a, b);
-  for (int i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(out.data()[i], ref.data()[i]) << "flat " << i;
   }
 }
 
